@@ -61,10 +61,8 @@ class PatternMaintainer:
             self.index.insert(code, cover)
             self.stats.n_inserted += 1
             return True
-        score_l, p_t = self.index.select()
-        score_b = self.index.benefit(cover)
-        rhs = (1 + self.alpha) * score_l + (1 - self.alpha) * self.index.cov_total / self.k
-        if score_b > rhs:
+        if self.index.benefit(cover) > self.swap_threshold():
+            _, p_t = self.index.select()
             self.index.update(p_t, code, cover)
             self.stats.n_swaps += 1
             return True

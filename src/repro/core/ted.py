@@ -41,6 +41,7 @@ def ips_initial_patterns(
     e_max: int,
     e_min: int = 1,
     max_emb: int = DEFAULT_MAX_EMB,
+    matched: dict[DFSCode, PatternLevelStats] | None = None,
 ) -> list[tuple[DFSCode, frozenset[int]]]:
     """Initial Pattern Selection (Section 5.2).
 
@@ -48,9 +49,13 @@ def ips_initial_patterns(
     the highest coverage while coverage strictly improves (and |E| < E_max).
     All chains advance together, so each BFS depth is a single Spark job.
     Returns the top-k chain results by coverage as (code, cover) pairs.
+    Every stats entry the jobs return is also stored in ``matched`` by code,
+    so the enumeration that follows need not match those patterns again.
     """
+    matched = {} if matched is None else matched
     roots = level1_codes(edges)
     root_stats = match_level(spark, edges, roots, want_extensions=True, max_emb=max_emb)
+    matched.update((ps.code, ps) for ps in root_stats)
     # chain state: (current stats, done?)
     chains: list[PatternLevelStats] = [ps for ps in root_stats if ps.support > 0]
     active = [ps for ps in chains if len(ps.code) < e_max and ps.extensions]
@@ -71,6 +76,7 @@ def ips_initial_patterns(
         child_stats = match_level(
             spark, edges, cand_codes, want_extensions=True, max_emb=max_emb
         )
+        matched.update((cs.code, cs) for cs in child_stats)
         best: dict[int, PatternLevelStats] = {}
         for ci, cs in zip(owners, child_stats):
             cur = best.get(ci)
@@ -131,10 +137,11 @@ def ted(
     edge_counts = per_graph_edge_counts(edges)
     total_edges = sum(edge_counts.values())
     maintainer = PatternMaintainer(k=k, alpha=alpha)
+    matched: dict[DFSCode, PatternLevelStats] = {}  # IPS's stats, reused by the enumeration
 
     if use_ips:
         for code, cover in ips_initial_patterns(
-            spark, edges, k=k, e_max=e_max, e_min=e_min, max_emb=max_emb
+            spark, edges, k=k, e_max=e_max, e_min=e_min, max_emb=max_emb, matched=matched
         ):
             maintainer.offer(code, cover)
 
@@ -164,6 +171,7 @@ def ted(
         extend_filter=prm_filter if use_prm else None,
         max_emb=max_emb,
         time_limit_s=time_limit_s,
+        matched=matched,
     )
     elapsed = time.perf_counter() - t0
     idx = maintainer.index

@@ -54,7 +54,7 @@ def level1_codes(edges: DataFrame) -> list[DFSCode]:
 class EnumStats:
     """Bookkeeping for one enumeration run."""
 
-    n_matched: int = 0          # candidate patterns matched (level-job work)
+    n_matched: int = 0          # frontier patterns matched or taken from ``matched``
     n_visited: int = 0          # patterns streamed to the visitor
     n_pruned_support: int = 0   # dropped by the support threshold
     n_pruned_filter: int = 0    # subtrees cut by extend_filter (PRM)
@@ -76,6 +76,7 @@ def enumerate_gspan(
     extend_filter: Callable[[PatternLevelStats], bool] | None = None,
     max_emb: int = DEFAULT_MAX_EMB,
     time_limit_s: float | None = None,
+    matched: dict[DFSCode, PatternLevelStats] | None = None,
 ) -> EnumStats:
     """Enumerate all (or all frequent) patterns with ``|E| <= e_max``.
 
@@ -87,17 +88,26 @@ def enumerate_gspan(
     ``visitor`` sees each surviving pattern exactly once, in canonical
     DFS-code order within each level. ``extend_filter`` decides whether a
     surviving pattern's subtree is explored (TED's PRM hook).
+
+    ``matched`` maps DFS codes to stats computed earlier with the same edges,
+    ``max_emb`` and extensions. A frontier code found there is popped and
+    used as is; only the rest go to the level job, and a level with no rest
+    starts no job.
     """
     if min_support_frac > 0 and n_graphs is None:
         n_graphs = edges.select("graph_id").distinct().count()
     threshold = max(1, math.ceil(min_support_frac * (n_graphs or 1)))
+    matched = {} if matched is None else matched
     t0 = time.perf_counter()
     stats = EnumStats()
     frontier = level1_codes(edges)
     while frontier:
         stats.levels += 1
         stats.peak_frontier = max(stats.peak_frontier, len(frontier))
-        level = match_level(spark, edges, frontier, want_extensions=True, max_emb=max_emb)
+        todo = [c for c in frontier if c not in matched]
+        level = [matched.pop(c) for c in frontier if c in matched]
+        if todo:
+            level += match_level(spark, edges, todo, want_extensions=True, max_emb=max_emb)
         stats.n_matched += len(level)
         children: list[DFSCode] = []
         for ps in sorted(level, key=lambda s: CODE_KEY(s.code)):

@@ -18,6 +18,14 @@ def load_job(name: str):
     return mod
 
 
+def test_run_all_lists_every_job_once():
+    """``run_all.sh`` is the one entrypoint per table: it names exactly the
+    job scripts under ``jobs/``, apart from the shared helper modules."""
+    loop = (JOBS / "run_all.sh").read_text().split("for job in", 1)[1].split(";", 1)[0]
+    scripts = {p.stem for p in JOBS.glob("*.py")} - {"_common", "vqf_common"}
+    assert sorted(loop.replace("\\", " ").split()) == sorted(scripts)
+
+
 class TestTable2:
     def test_runs_and_reports_all_datasets(self, spark):
         rows = load_job("table2_datasets").run(spark, scale=0.05)
@@ -28,8 +36,7 @@ class TestTable2:
 class TestTables3And4:
     @pytest.fixture(scope="class")
     def pes_rows(self, spark):
-        sys.path.insert(0, str(JOBS))
-        mod = load_job("pes_tables")
+        mod = load_job("table34_pes")
         return mod.run_pes_experiments(spark, scale=0.08, e_max=3)
 
     def test_all_variants_reported(self, pes_rows):

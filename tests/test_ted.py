@@ -1,10 +1,14 @@
 """TED framework tests: variant validity, incremental-vs-recomputed
-coverage, the Theorem-4 approximation bound against exact OPT, and the
-optimization strategies' behaviour."""
+coverage, the Theorem-4 approximation bound against exact OPT, the
+optimization strategies' behaviour, and that the enumeration does not repeat
+IPS's level jobs."""
+import importlib
+
 import pytest
 
 from repro.core.baselines import all_g, opt_exact
 from repro.core.ted import coverage_of_patterns, ips_initial_patterns, ted
+from repro.enumeration.gspan import enumerate_gspan
 from repro.graphdb.spark_io import to_edges_df
 from repro.isomorphism.dfscode import code_to_graph, is_min
 from tests.helpers import tiny_db
@@ -94,6 +98,45 @@ class TestOptimizations:
     def test_invalid_variant_raises(self, spark, tiny_edges):
         with pytest.raises(ValueError):
             ted(spark, tiny_edges, k=K, e_max=E_MAX, variant="bogus")
+
+
+class TestMatchOnce:
+    """IPS's stats feed the enumeration, so one ``ted()`` call matches each
+    pattern once, and the enumeration sees the same stream either way."""
+
+    @pytest.mark.parametrize("variant", ["ips", "ted"])
+    def test_no_pattern_sent_to_match_level_twice(self, spark, tiny_edges, monkeypatch, variant):
+        sent = []
+        for name in ("repro.core.ted", "repro.enumeration.gspan"):
+            mod = importlib.import_module(name)
+
+            def spy(spark, edges, codes, *, _real=mod.match_level, **kw):
+                sent.extend(codes)
+                return _real(spark, edges, codes, **kw)
+
+            monkeypatch.setattr(mod, "match_level", spy)
+        ted(spark, tiny_edges, k=K, e_max=E_MAX, variant=variant)
+        assert sent and len(sent) == len(set(sent))
+
+    @pytest.mark.parametrize("extend_filter", [None, lambda ps: ps.support > 2])
+    def test_ips_stats_leave_enumeration_unchanged(self, spark, tiny_edges, extend_filter):
+        def run(matched):
+            seen = []
+            stats = enumerate_gspan(
+                spark,
+                tiny_edges,
+                e_max=E_MAX,
+                visitor=lambda ps: seen.append((ps.code, ps.support_gids, ps.cover, ps.extensions)),
+                extend_filter=extend_filter,
+                matched=matched,
+            )
+            return seen, stats
+
+        matched = {}
+        ips_initial_patterns(spark, tiny_edges, k=K, e_max=E_MAX, matched=matched)
+        n_ips = len(matched)
+        assert run(matched) == run(None)
+        assert len(matched) < n_ips  # entries are popped as they are used
 
 
 class TestVsGreedyAll:
