@@ -57,7 +57,7 @@ def spark() -> SparkSession:
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow) are set here.
+    (shuffle partitions, Arrow, no console progress bars) are set here.
     """
     s = (
         SparkSession.builder.appName("repro")
@@ -66,6 +66,7 @@ def spark() -> SparkSession:
             os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the

@@ -45,8 +45,9 @@ def to_edges_df(spark: SparkSession, graphs: list[Graph]) -> DataFrame:
 
 def graphs_from_pandas(pdf: pd.DataFrame) -> list[Graph]:
     """Rebuild :class:`Graph` objects from edge rows (inverse of
-    :func:`to_edges_pandas`). Used inside ``applyInPandas`` workers, where
-    ``pdf`` holds exactly one graph's edges, and in tests.
+    :func:`to_edges_pandas`). Used inside the level job's ``mapInPandas``
+    tasks, where ``pdf`` holds every edge of each graph in one
+    ``graph_id``-hashed partition, and in tests.
 
     Vertices are inferred from edges — valid because generated graphs are
     connected with >= 1 edge.

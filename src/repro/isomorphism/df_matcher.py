@@ -9,9 +9,10 @@ join produces a hard test failure rather than a silently different cover set.
 
 This is the pure-DataFrame counterpart of :mod:`repro.isomorphism.matcher`
 and is cross-checked against it in the tests. The per-level enumeration jobs
-use the Python matcher inside ``applyInPandas`` (patterns change every level;
-generating and optimizing a fresh m-way join per candidate pattern per level
-would dominate runtime), which DESIGN.md documents.
+use the Python matcher inside ``mapInPandas`` over ``graph_id``-partitioned
+edges (patterns change every level; generating and optimizing a fresh m-way
+join per candidate pattern per level would dominate runtime), which DESIGN.md
+documents.
 """
 from __future__ import annotations
 

@@ -1,10 +1,12 @@
 """Distributed enumeration tests: level jobs and gSpan driver vs brute
-force, support thresholds, and oracle-checked support aggregation."""
+force, support thresholds, oracle-checked support aggregation, and results
+that do not depend on how the edge table is partitioned."""
 import math
 
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.ted import ted
 from repro.enumeration.distributed import match_level, match_level_df
 from repro.enumeration.gspan import CODE_KEY, EnumStats, enumerate_gspan, level1_codes
 from repro.graphdb.model import edge_key
@@ -78,6 +80,21 @@ class TestMatchLevel:
         df = match_level_df(spark, tiny_edges, codes)
         assert df.columns == ["pattern_id", "graph_id", "n_emb", "covered", "exts", "truncated"]
 
+    def test_level_job_runs_one_task_per_core(self, spark, tiny_edges):
+        """The matching stage is not coalesced into a single task."""
+        sc = spark.sparkContext
+        codes = level1_codes(tiny_edges)
+        group = "test-level-job-parallelism"
+        sc.setJobGroup(group, group)
+        try:
+            match_level_df(spark, tiny_edges, codes).toPandas()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        st = sc.statusTracker()
+        stage_ids = [s for j in st.getJobIdsForGroup(group) for s in st.getJobInfo(j).stageIds]
+        assert st.getStageInfo(max(stage_ids)).numTasks == sc.defaultParallelism
+
     def test_support_aggregation_oracle(self, spark, tiny_mol_db, tiny_edges):
         """Spark countDistinct support aggregate vs DuckDB over the level rows."""
         codes = level1_codes(tiny_edges)
@@ -94,6 +111,45 @@ class TestMatchLevel:
             rows=rows,
         )
         ldf.unpersist()
+
+
+RESPLITS = {
+    "one": lambda df: df.repartition(1),
+    "sixty_four": lambda df: df.repartition(64),
+    "round_robin_7": lambda df: df.repartition(7),
+}
+
+
+@pytest.fixture(scope="module")
+def two_level_codes(spark, tiny_edges):
+    """Level-1 codes plus one child per observed extension of each."""
+    l1 = level1_codes(tiny_edges)
+    return l1 + [
+        ps.code + (ext,) for ps in match_level(spark, tiny_edges, l1) for ext in sorted(ps.extensions)
+    ]
+
+
+@pytest.fixture(scope="module")
+def ted_on_tiny(spark, tiny_edges):
+    return ted(spark, tiny_edges, k=3, e_max=3, variant="ted")
+
+
+@pytest.mark.parametrize("resplit", list(RESPLITS.values()), ids=list(RESPLITS))
+class TestInputPartitioning:
+    """Results do not depend on how the edge table is split, including
+    splits that cut graphs across input partitions."""
+
+    def test_match_level_stats_identical(self, spark, tiny_edges, two_level_codes, resplit):
+        edges = resplit(tiny_edges)
+        parts = edges.select("graph_id", F.spark_partition_id().alias("part")).distinct()
+        graphs_cut = parts.groupBy("graph_id").count().where("count > 1").count()
+        assert (graphs_cut > 0) == (edges.rdd.getNumPartitions() > 1)
+        expected = match_level(spark, tiny_edges, two_level_codes)
+        assert match_level(spark, edges, two_level_codes) == expected
+
+    def test_ted_identical(self, spark, tiny_edges, ted_on_tiny, resplit):
+        r = ted(spark, resplit(tiny_edges), k=3, e_max=3, variant="ted")
+        assert (r.patterns, r.coverage) == (ted_on_tiny.patterns, ted_on_tiny.coverage)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
