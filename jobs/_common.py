@@ -1,9 +1,10 @@
 """Shared helpers for spark-submit entrypoints.
 
 Each job is a function taking a SparkSession and returning printable rows,
-wrapped in a ``main()`` that builds a local session mirroring conftest.py's
-settings when run standalone (``spark-submit jobs/<name>.py`` or
-``python jobs/<name>.py``).
+wrapped in a ``main()`` that builds a local session with :func:`get_spark`
+when run standalone (``spark-submit jobs/<name>.py`` or
+``python jobs/<name>.py``). The test fixture in conftest.py and the benchmark
+build theirs with it too.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 def get_spark(app_name: str):
-    """Standalone local session with the same settings as the test fixture."""
+    """Local session with the settings every job, test and benchmark run uses."""
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
@@ -32,6 +33,9 @@ def get_spark(app_name: str):
         # Stage progress bars are redrawn with \r on stderr and garble the
         # status lines callers print there.
         .config("spark.ui.showConsoleProgress", "false")
+        # Workers import the installed pyspark instead of pyspark.zip, so a
+        # task does not re-read the archive (see repro/spark_daemon.py).
+        .config("spark.python.daemon.module", "repro.spark_daemon")
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

@@ -42,6 +42,7 @@ def ips_initial_patterns(
     e_min: int = 1,
     max_emb: int = DEFAULT_MAX_EMB,
     matched: dict[DFSCode, PatternLevelStats] | None = None,
+    roots: list[DFSCode] | None = None,
 ) -> list[tuple[DFSCode, frozenset[int]]]:
     """Initial Pattern Selection (Section 5.2).
 
@@ -51,9 +52,12 @@ def ips_initial_patterns(
     Returns the top-k chain results by coverage as (code, cover) pairs.
     Every stats entry the jobs return is also stored in ``matched`` by code,
     so the enumeration that follows need not match those patterns again.
+    ``roots`` is :func:`level1_codes` of ``edges`` when the caller already
+    has it; by default the edge table is scanned for it.
     """
     matched = {} if matched is None else matched
-    roots = level1_codes(edges)
+    if roots is None:
+        roots = level1_codes(edges)
     root_stats = match_level(spark, edges, roots, want_extensions=True, max_emb=max_emb)
     matched.update((ps.code, ps) for ps in root_stats)
     # chain state: (current stats, done?)
@@ -138,10 +142,12 @@ def ted(
     total_edges = sum(edge_counts.values())
     maintainer = PatternMaintainer(k=k, alpha=alpha)
     matched: dict[DFSCode, PatternLevelStats] = {}  # IPS's stats, reused by the enumeration
+    roots = level1_codes(edges)  # one scan, shared by IPS and the enumeration
 
     if use_ips:
         for code, cover in ips_initial_patterns(
-            spark, edges, k=k, e_max=e_max, e_min=e_min, max_emb=max_emb, matched=matched
+            spark, edges, k=k, e_max=e_max, e_min=e_min, max_emb=max_emb,
+            matched=matched, roots=roots,
         ):
             maintainer.offer(code, cover)
 
@@ -172,6 +178,7 @@ def ted(
         max_emb=max_emb,
         time_limit_s=time_limit_s,
         matched=matched,
+        roots=roots,
     )
     elapsed = time.perf_counter() - t0
     idx = maintainer.index

@@ -15,10 +15,16 @@ are disjoint across graphs and per-pattern totals are plain sums. The driver
 folds the rows into :class:`PatternLevelStats` for PES-Index maintenance —
 the only state that must be sequential (it is the paper's swapping stream).
 
-The partition count is ``defaultParallelism`` (one task per core), not more:
-each Python task costs about 0.07 s, so on a 1378-pattern frontier of
-aids_lite-100 on 4 cores, 8 and 16 partitions took 1.5-1.8x and 2.1-2.3x as
-long as 4. A shuffle with an explicit partition count is also never
+The partition count is ``defaultParallelism`` (one task per core), not more.
+Each Python task has a fixed cost. It used to be 0.1-0.3 s, because PySpark's
+worker calls ``importlib.invalidate_caches()`` before every task and each
+``zipimporter`` over ``pyspark.zip`` then re-reads its archive; the session's
+daemon (:mod:`repro.spark_daemon`) makes workers import the installed
+pyspark instead, which leaves no zip importer to re-read. With that, on the
+1378-pattern level-3 frontier of aids_lite-100 on 4 cores (10 alternating
+rounds), 4 partitions took a median 0.60 s, 8 took 0.61 s and 16 took
+0.66 s: 4 still has the lowest median, by at most 1.1x, where it was
+1.5-2.3x before. A shuffle with an explicit partition count is also never
 coalesced by adaptive query execution, which folds a ``groupBy`` shuffle of
 this small table into a single task.
 """

@@ -77,6 +77,7 @@ def enumerate_gspan(
     max_emb: int = DEFAULT_MAX_EMB,
     time_limit_s: float | None = None,
     matched: dict[DFSCode, PatternLevelStats] | None = None,
+    roots: list[DFSCode] | None = None,
 ) -> EnumStats:
     """Enumerate all (or all frequent) patterns with ``|E| <= e_max``.
 
@@ -93,6 +94,9 @@ def enumerate_gspan(
     ``max_emb`` and extensions. A frontier code found there is popped and
     used as is; only the rest go to the level job, and a level with no rest
     starts no job.
+
+    ``roots`` is :func:`level1_codes` of ``edges`` when the caller already
+    has it; by default the edge table is scanned for it.
     """
     if min_support_frac > 0 and n_graphs is None:
         n_graphs = edges.select("graph_id").distinct().count()
@@ -100,7 +104,7 @@ def enumerate_gspan(
     matched = {} if matched is None else matched
     t0 = time.perf_counter()
     stats = EnumStats()
-    frontier = level1_codes(edges)
+    frontier = level1_codes(edges) if roots is None else roots
     while frontier:
         stats.levels += 1
         stats.peak_frontier = max(stats.peak_frontier, len(frontier))

@@ -135,6 +135,20 @@ class TestMatchOnce:
         ted(spark, tiny_edges, k=K, e_max=E_MAX, variant=variant)
         assert sent and len(sent) == len(set(sent))
 
+    @pytest.mark.parametrize("variant", ["base", "ted"])
+    def test_level1_scanned_once(self, spark, tiny_edges, monkeypatch, variant):
+        scans = []
+        for name in ("repro.core.ted", "repro.enumeration.gspan"):
+            mod = importlib.import_module(name)
+
+            def spy(edges, *, _real=mod.level1_codes):
+                scans.append(edges)
+                return _real(edges)
+
+            monkeypatch.setattr(mod, "level1_codes", spy)
+        ted(spark, tiny_edges, k=K, e_max=E_MAX, variant=variant)
+        assert len(scans) == 1
+
     @pytest.mark.parametrize("extend_filter", [None, lambda ps: ps.support > 2])
     def test_ips_stats_leave_enumeration_unchanged(self, spark, tiny_edges, extend_filter):
         def run(matched):
