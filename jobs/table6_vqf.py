@@ -10,7 +10,7 @@ sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
 from _common import emit, get_spark, render_table  # noqa: E402
 from vqf_common import SUP_INFREQUENT, build_setup  # noqa: E402
 
-from repro.vqf.repository import pattern_supports  # noqa: E402
+from repro.enumeration.distributed import match_level  # noqa: E402
 from repro.vqf.steps import formulation_steps, usable_patterns  # noqa: E402
 
 PAPER = (
@@ -27,7 +27,10 @@ def run(spark, *, n_graphs: int = 300) -> list[dict]:
         setup = build_setup(spark, ds, n_graphs=n_graphs)
         n_db = len(setup.db)
         sup_cache = {
-            name: pattern_supports(spark, setup.edges, codes)
+            name: {
+                ps.code: ps.support
+                for ps in match_level(spark, setup.edges, codes, want_extensions=False)
+            }
             for name, codes in setup.pattern_sets.items()
         }
         for qi, q in enumerate(setup.queries, 1):

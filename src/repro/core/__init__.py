@@ -4,7 +4,7 @@ ALL_g, ALL_t, FSG_g, FSG_t plus the exact-OPT reference wiring."""
 from repro.core.pes_index import PESIndex
 from repro.core.maintain import PatternMaintainer
 from repro.core.result import AlgoResult
-from repro.core.ted import ted, coverage_of_patterns
+from repro.core.ted import ted
 from repro.core.baselines import all_g, all_t, fsg_g, fsg_t, opt_exact
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "PatternMaintainer",
     "AlgoResult",
     "ted",
-    "coverage_of_patterns",
     "all_g",
     "all_t",
     "fsg_g",

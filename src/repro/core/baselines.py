@@ -15,10 +15,9 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.maintain import PatternMaintainer
 from repro.core.result import AlgoResult
-from repro.enumeration.gspan import enumerate_gspan
+from repro.enumeration.gspan import EnumStats, enumerate_gspan
 from repro.graphdb.spark_io import per_graph_edge_counts
 from repro.isomorphism.dfscode import DFSCode
-from repro.isomorphism.matcher import DEFAULT_MAX_EMB
 from repro.maxcover.exact import exact_max_cover
 from repro.maxcover.greedy import greedy_max_cover
 
@@ -29,12 +28,12 @@ def enumerate_cover_sets(
     *,
     e_max: int,
     min_support_frac: float = 0.0,
-    max_emb: int = DEFAULT_MAX_EMB,
     time_limit_s: float | None = None,
-) -> tuple[dict[DFSCode, frozenset[int]], bool]:
+) -> tuple[dict[DFSCode, frozenset[int]], EnumStats]:
     """Materialize S (Algorithm 1 line 1 / Algorithm 2 line 1): every
     enumerated pattern's cover set, in DFS-code stream order. Returns
-    ``(sets, timed_out)``."""
+    ``(sets, stats)``; ``stats`` says whether the enumeration timed out or
+    hit the embedding cap."""
     sets: dict[DFSCode, frozenset[int]] = {}
 
     stats = enumerate_gspan(
@@ -43,10 +42,9 @@ def enumerate_cover_sets(
         e_max=e_max,
         min_support_frac=min_support_frac,
         visitor=lambda ps: sets.__setitem__(ps.code, ps.cover),
-        max_emb=max_emb,
         time_limit_s=time_limit_s,
     )
-    return sets, stats.timed_out
+    return sets, stats
 
 
 def _candidate_bytes(sets: dict[DFSCode, frozenset[int]]) -> int:
@@ -65,17 +63,15 @@ def _run_materialized(
     min_support_frac: float,
     strategy: str,  # "greedy" | "swap" | "exact"
     alpha: float = 1.0,
-    max_emb: int = DEFAULT_MAX_EMB,
     time_limit_s: float | None = None,
 ) -> AlgoResult:
     t0 = time.perf_counter()
     total_edges = sum(per_graph_edge_counts(edges).values())
-    sets, timed_out = enumerate_cover_sets(
+    sets, enum_stats = enumerate_cover_sets(
         spark,
         edges,
         e_max=e_max,
         min_support_frac=min_support_frac,
-        max_emb=max_emb,
         time_limit_s=time_limit_s,
     )
     index_time = 0.0
@@ -104,7 +100,8 @@ def _run_materialized(
         coverage=len(covered),
         total_edges=total_edges,
         elapsed_s=time.perf_counter() - t0,
-        timed_out=timed_out,
+        timed_out=enum_stats.timed_out,
+        truncated=enum_stats.truncated,
         index_time_s=index_time,
         index_size_bytes=index_bytes,
         n_enumerated=len(sets),
@@ -114,43 +111,42 @@ def _run_materialized(
     )
 
 
-def all_g(spark, edges, *, k, e_max, max_emb=DEFAULT_MAX_EMB, time_limit_s=None) -> AlgoResult:
+def all_g(spark, edges, *, k, e_max, time_limit_s=None) -> AlgoResult:
     """Algorithm 1: enumerate all subgraphs, then greedy MaxCover."""
     return _run_materialized(
         spark, edges, name="ALL_g", k=k, e_max=e_max, min_support_frac=0.0,
-        strategy="greedy", max_emb=max_emb, time_limit_s=time_limit_s,
+        strategy="greedy", time_limit_s=time_limit_s,
     )
 
 
-def all_t(spark, edges, *, k, e_max, alpha=1.0, max_emb=DEFAULT_MAX_EMB, time_limit_s=None) -> AlgoResult:
+def all_t(spark, edges, *, k, e_max, alpha=1.0, time_limit_s=None) -> AlgoResult:
     """ALL_g variant: materialized all-subgraph stream + swap-based search."""
     return _run_materialized(
         spark, edges, name="ALL_t", k=k, e_max=e_max, min_support_frac=0.0,
-        strategy="swap", alpha=alpha, max_emb=max_emb, time_limit_s=time_limit_s,
+        strategy="swap", alpha=alpha, time_limit_s=time_limit_s,
     )
 
 
-def fsg_g(spark, edges, *, k, e_max, sup_min=0.1, max_emb=DEFAULT_MAX_EMB, time_limit_s=None) -> AlgoResult:
+def fsg_g(spark, edges, *, k, e_max, sup_min=0.1, time_limit_s=None) -> AlgoResult:
     """Algorithm 2: frequent subgraphs (sup >= sup_min), then greedy MaxCover."""
     return _run_materialized(
         spark, edges, name=f"FSG_g({sup_min})", k=k, e_max=e_max,
-        min_support_frac=sup_min, strategy="greedy", max_emb=max_emb,
-        time_limit_s=time_limit_s,
+        min_support_frac=sup_min, strategy="greedy", time_limit_s=time_limit_s,
     )
 
 
-def fsg_t(spark, edges, *, k, e_max, sup_min=0.1, alpha=1.0, max_emb=DEFAULT_MAX_EMB, time_limit_s=None) -> AlgoResult:
+def fsg_t(spark, edges, *, k, e_max, sup_min=0.1, alpha=1.0, time_limit_s=None) -> AlgoResult:
     """FSG_g variant: frequent-subgraph stream + swap-based search."""
     return _run_materialized(
         spark, edges, name=f"FSG_t({sup_min})", k=k, e_max=e_max,
-        min_support_frac=sup_min, strategy="swap", alpha=alpha, max_emb=max_emb,
+        min_support_frac=sup_min, strategy="swap", alpha=alpha,
         time_limit_s=time_limit_s,
     )
 
 
-def opt_exact(spark, edges, *, k, e_max, max_emb=DEFAULT_MAX_EMB, time_limit_s=None) -> AlgoResult:
+def opt_exact(spark, edges, *, k, e_max, time_limit_s=None) -> AlgoResult:
     """Exact optimum over all enumerated subgraphs (Figure 13's OPT)."""
     return _run_materialized(
         spark, edges, name="OPT", k=k, e_max=e_max, min_support_frac=0.0,
-        strategy="exact", max_emb=max_emb, time_limit_s=time_limit_s,
+        strategy="exact", time_limit_s=time_limit_s,
     )

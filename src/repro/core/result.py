@@ -17,6 +17,7 @@ class AlgoResult:
     total_edges: int              # sum of |E(G)| over D
     elapsed_s: float              # paper's Processing Time
     timed_out: bool = False       # paper's INF
+    truncated: bool = False       # a (pattern, graph) hit the embedding cap
     index_time_s: float = 0.0     # Table 4: PES-Index maintenance time
     index_size_bytes: int = 0     # Table 3: PES-Index size
     n_enumerated: int = 0         # patterns streamed through the search
@@ -36,6 +37,7 @@ class AlgoResult:
             "algo": self.name,
             "coverage_rate": round(self.coverage_rate, 4),
             "coverage": self.coverage,
+            "truncated": self.truncated,
             "time_s": "INF" if self.timed_out else round(self.elapsed_s, 2),
             "index_time_s": round(self.index_time_s, 3),
             "index_kb": round(self.index_size_bytes / 1024, 1),

@@ -28,7 +28,6 @@ from repro.enumeration.distributed import PatternLevelStats, match_level
 from repro.enumeration.gspan import CODE_KEY, enumerate_gspan, level1_codes
 from repro.graphdb.spark_io import per_graph_edge_counts
 from repro.isomorphism.dfscode import DFSCode, is_min
-from repro.isomorphism.matcher import DEFAULT_MAX_EMB
 
 VARIANTS = ("base", "prm", "ips", "ted")
 
@@ -40,7 +39,6 @@ def ips_initial_patterns(
     k: int,
     e_max: int,
     e_min: int = 1,
-    max_emb: int = DEFAULT_MAX_EMB,
     matched: dict[DFSCode, PatternLevelStats] | None = None,
     roots: list[DFSCode] | None = None,
 ) -> list[tuple[DFSCode, frozenset[int]]]:
@@ -58,7 +56,7 @@ def ips_initial_patterns(
     matched = {} if matched is None else matched
     if roots is None:
         roots = level1_codes(edges)
-    root_stats = match_level(spark, edges, roots, want_extensions=True, max_emb=max_emb)
+    root_stats = match_level(spark, edges, roots, want_extensions=True)
     matched.update((ps.code, ps) for ps in root_stats)
     # chain state: (current stats, done?)
     chains: list[PatternLevelStats] = [ps for ps in root_stats if ps.support > 0]
@@ -77,9 +75,7 @@ def ips_initial_patterns(
         if not cand_codes:
             settled.extend(active)
             break
-        child_stats = match_level(
-            spark, edges, cand_codes, want_extensions=True, max_emb=max_emb
-        )
+        child_stats = match_level(spark, edges, cand_codes, want_extensions=True)
         matched.update((cs.code, cs) for cs in child_stats)
         best: dict[int, PatternLevelStats] = {}
         for ci, cs in zip(owners, child_stats):
@@ -122,7 +118,6 @@ def ted(
     e_min: int = 1,
     alpha: float = 1.0,
     variant: str = "ted",
-    max_emb: int = DEFAULT_MAX_EMB,
     time_limit_s: float | None = None,
 ) -> AlgoResult:
     """Run a TED variant and return its result + instrumentation.
@@ -131,7 +126,11 @@ def ted(
     (Section 6.2 MinE): patterns with fewer edges are traversed but not
     eligible for P. The discovery problem itself (Definition 3) has no
     minimum, so ``e_min=1`` is the default everywhere except the VQF
-    studies."""
+    studies.
+
+    ``truncated`` is set when any pattern matched, by IPS or by the
+    enumeration, hit the matcher's embedding cap, so its cover set (and
+    possibly its extensions) may be incomplete."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     use_prm = variant in ("prm", "ted")
@@ -146,10 +145,11 @@ def ted(
 
     if use_ips:
         for code, cover in ips_initial_patterns(
-            spark, edges, k=k, e_max=e_max, e_min=e_min, max_emb=max_emb,
-            matched=matched, roots=roots,
+            spark, edges, k=k, e_max=e_max, e_min=e_min, matched=matched, roots=roots,
         ):
             maintainer.offer(code, cover)
+    # read before the enumeration pops entries, so IPS-only patterns count too
+    ips_truncated = any(ps.truncated for ps in matched.values())
 
     def visitor(ps: PatternLevelStats) -> None:
         if len(ps.code) < e_min:  # below the pattern budget's MinE
@@ -175,7 +175,6 @@ def ted(
         min_support_frac=0.0,
         visitor=visitor,
         extend_filter=prm_filter if use_prm else None,
-        max_emb=max_emb,
         time_limit_s=time_limit_s,
         matched=matched,
         roots=roots,
@@ -189,6 +188,7 @@ def ted(
         total_edges=total_edges,
         elapsed_s=elapsed,
         timed_out=enum_stats.timed_out,
+        truncated=ips_truncated or enum_stats.truncated,
         index_time_s=idx.maintenance_time_s,
         index_size_bytes=idx.estimated_size_bytes(),
         n_enumerated=enum_stats.n_visited,
@@ -200,23 +200,6 @@ def ted(
             "e_max": e_max,
             "levels": enum_stats.levels,
             "peak_frontier": enum_stats.peak_frontier,
-            "truncated": enum_stats.truncated,
         },
     )
 
-
-def coverage_of_patterns(
-    spark: SparkSession,
-    edges: DataFrame,
-    codes: list[DFSCode],
-    *,
-    max_emb: int = DEFAULT_MAX_EMB,
-) -> tuple[int, frozenset[int]]:
-    """Recompute ``|Cov(P, D)|`` for a fixed pattern set with one Spark job —
-    the independent check that the incrementally-maintained PES total is
-    right (used by tests and the jobs' verification output)."""
-    stats = match_level(spark, edges, codes, want_extensions=False, max_emb=max_emb)
-    cover: set[int] = set()
-    for ps in stats:
-        cover |= ps.cover
-    return len(cover), frozenset(cover)

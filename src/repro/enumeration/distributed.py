@@ -47,7 +47,7 @@ from pyspark.sql.types import (
 from repro.graphdb.model import Graph, edge_key
 from repro.graphdb.spark_io import graphs_from_pandas
 from repro.isomorphism.dfscode import DFSCode, Edge5, code_to_graph
-from repro.isomorphism.matcher import DEFAULT_MAX_EMB, match_stats
+from repro.isomorphism.matcher import match_stats
 
 LEVEL_SCHEMA = StructType(
     [
@@ -96,7 +96,6 @@ def match_level_df(
     codes: list[DFSCode],
     *,
     want_extensions: bool = True,
-    max_emb: int = DEFAULT_MAX_EMB,
 ) -> DataFrame:
     """The level job as a DataFrame (schema :data:`LEVEL_SCHEMA`).
 
@@ -113,7 +112,6 @@ def match_level_df(
     ]
     bc = spark.sparkContext.broadcast(prepared)
     want_ext = want_extensions
-    cap = max_emb
     columns = [f.name for f in LEVEL_SCHEMA.fields]
 
     def run_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -123,7 +121,7 @@ def match_level_df(
         rows = []
         for g in graphs_from_pandas(pd.concat(parts, ignore_index=True)):
             for pid, code, pat in bc.value:
-                ms = match_stats(code, g, want_extensions=want_ext, max_emb=cap, pattern=pat)
+                ms = match_stats(code, g, want_extensions=want_ext, pattern=pat)
                 if ms.n_embeddings == 0:
                     continue
                 rows.append(
@@ -149,16 +147,13 @@ def match_level(
     codes: list[DFSCode],
     *,
     want_extensions: bool = True,
-    max_emb: int = DEFAULT_MAX_EMB,
 ) -> list[PatternLevelStats]:
     """Run the level job and fold rows into per-pattern aggregates.
 
     Returns one entry per input code, in input order (patterns with zero
     support get empty aggregates).
     """
-    pdf = match_level_df(
-        spark, edges, codes, want_extensions=want_extensions, max_emb=max_emb
-    ).toPandas()
+    pdf = match_level_df(spark, edges, codes, want_extensions=want_extensions).toPandas()
     supports: list[set[int]] = [set() for _ in codes]
     covers: list[set[int]] = [set() for _ in codes]
     n_embs = [0] * len(codes)

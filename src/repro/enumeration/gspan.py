@@ -21,7 +21,6 @@ from pyspark.sql import functions as F
 
 from repro.enumeration.distributed import PatternLevelStats, match_level
 from repro.isomorphism.dfscode import DFSCode, edge_lt, is_min
-from repro.isomorphism.matcher import DEFAULT_MAX_EMB
 
 
 def code_cmp(a: DFSCode, b: DFSCode) -> int:
@@ -74,7 +73,6 @@ def enumerate_gspan(
     n_graphs: int | None = None,
     visitor: Callable[[PatternLevelStats], None] | None = None,
     extend_filter: Callable[[PatternLevelStats], bool] | None = None,
-    max_emb: int = DEFAULT_MAX_EMB,
     time_limit_s: float | None = None,
     matched: dict[DFSCode, PatternLevelStats] | None = None,
     roots: list[DFSCode] | None = None,
@@ -90,10 +88,10 @@ def enumerate_gspan(
     DFS-code order within each level. ``extend_filter`` decides whether a
     surviving pattern's subtree is explored (TED's PRM hook).
 
-    ``matched`` maps DFS codes to stats computed earlier with the same edges,
-    ``max_emb`` and extensions. A frontier code found there is popped and
-    used as is; only the rest go to the level job, and a level with no rest
-    starts no job.
+    ``matched`` maps DFS codes to stats computed earlier by
+    :func:`match_level` over the same edges, with extensions. A frontier
+    code found there is popped and used as is; only the rest go to the level
+    job, and a level with no rest starts no job.
 
     ``roots`` is :func:`level1_codes` of ``edges`` when the caller already
     has it; by default the edge table is scanned for it.
@@ -111,7 +109,7 @@ def enumerate_gspan(
         todo = [c for c in frontier if c not in matched]
         level = [matched.pop(c) for c in frontier if c in matched]
         if todo:
-            level += match_level(spark, edges, todo, want_extensions=True, max_emb=max_emb)
+            level += match_level(spark, edges, todo, want_extensions=True)
         stats.n_matched += len(level)
         children: list[DFSCode] = []
         for ps in sorted(level, key=lambda s: CODE_KEY(s.code)):

@@ -9,8 +9,10 @@ DFS-code pattern in a data graph, and derive from them
 Embeddings follow the code's own DFS order, so candidate vertices are always
 adjacent to the partial embedding — no global backtracking search is needed.
 A per-(pattern, graph) embedding cap guards against pathological blowup on
-near-unlabeled graphs; the cap is surfaced in :class:`MatchResult` and tests
-assert it never triggers on the molecule data.
+near-unlabeled graphs. It is a fixed policy of this module
+(:data:`DEFAULT_MAX_EMB`); a hit is surfaced in :class:`MatchResult`, and
+from there in every algorithm's ``AlgoResult.truncated``. Tests assert it
+never triggers on the molecule data and that it is reported on a clique.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from repro.graphdb.model import Graph
 from repro.isomorphism.dfscode import DFSCode, code_to_graph, rightmost_path
 
-#: Default cap on embeddings enumerated per (pattern, graph).
+#: Cap on embeddings enumerated per (pattern, graph).
 DEFAULT_MAX_EMB = 2000
 
 
@@ -33,12 +35,11 @@ class MatchResult:
     truncated: bool  # True if the embedding cap was hit
 
 
-def _iter_embeddings(code: DFSCode, g: Graph, max_emb: int):
-    """Yield ``(vmap, eids)`` for each embedding, up to ``max_emb``.
+def iter_embeddings(code: DFSCode, g: Graph, max_emb: int = DEFAULT_MAX_EMB):
+    """Yield ``(vmap, eids)`` for each embedding, stopping after ``max_emb``.
 
-    The final yield after exhaustion is ``None`` iff the cap was hit (a
-    sentinel consumed by :func:`match_stats`).
-    """
+    ``match_stats`` passes its cap through; the VQF step model uses it to
+    place patterns on edge-disjoint regions of a query."""
     i0, j0, l0, el0, l1 = code[0]
     count = 0
     # Iterative DFS over partial embeddings: stack of (vmap, used_vs, eids, t).
@@ -55,7 +56,6 @@ def _iter_embeddings(code: DFSCode, g: Graph, max_emb: int):
             yield vmap, eids
             count += 1
             if count >= max_emb:
-                yield None
                 return
             continue
         i, j, li, el, lj = code[t]
@@ -94,12 +94,7 @@ def match_stats(
     n_emb = 0
     covered: set[int] = set()
     exts: set[tuple[int, int, str, str, str]] = set()
-    truncated = False
-    for hit in _iter_embeddings(code, g, max_emb):
-        if hit is None:
-            truncated = True
-            break
-        vmap, eids = hit
+    for vmap, eids in iter_embeddings(code, g, max_emb):
         n_emb += 1
         covered.update(eids)
         if not want_extensions:
@@ -123,28 +118,15 @@ def match_stats(
             for nbr, el, _ in g.adj[gv]:
                 if nbr not in inv:
                     exts.add((pi, n_pv, p.vlabels[pi], el, g.vlabels[nbr]))
-    return MatchResult(n_emb, covered, exts, truncated)
+    return MatchResult(n_emb, covered, exts, n_emb == max_emb)
 
 
-def iter_embeddings(
-    code: DFSCode, g: Graph, *, max_emb: int = DEFAULT_MAX_EMB
-):
-    """Yield ``(vmap, eids)`` per embedding (public wrapper; used by the VQF
-    step model to place patterns on edge-disjoint regions of a query)."""
-    for hit in _iter_embeddings(code, g, max_emb):
-        if hit is not None:
-            yield hit
-
-
-def contains(g: Graph, pattern_code: DFSCode, *, max_emb: int = DEFAULT_MAX_EMB) -> bool:
+def contains(g: Graph, pattern_code: DFSCode) -> bool:
     """True iff the pattern has at least one embedding in ``g``."""
     p = code_to_graph(pattern_code)
     if not g.could_contain(p):
         return False
-    for hit in _iter_embeddings(pattern_code, g, max_emb):
-        if hit is not None:
-            return True
-    return False
+    return next(iter_embeddings(pattern_code, g), None) is not None
 
 
 def cover_set(code: DFSCode, g: Graph, *, max_emb: int = DEFAULT_MAX_EMB) -> set[int]:

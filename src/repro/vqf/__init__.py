@@ -10,7 +10,7 @@ from repro.vqf.fs import top_k_frequent
 from repro.vqf.catapult import catapult_lite
 from repro.vqf.steps import usable_patterns, formulation_steps, reduction_ratio
 from repro.vqf.queries import sample_query, frequent_query, query_set
-from repro.vqf.repository import bio_importance_count, pattern_supports
+from repro.vqf.repository import bio_importance_count
 
 __all__ = [
     "top_k_frequent",
@@ -22,5 +22,4 @@ __all__ = [
     "frequent_query",
     "query_set",
     "bio_importance_count",
-    "pattern_supports",
 ]

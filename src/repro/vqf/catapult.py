@@ -18,7 +18,6 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.enumeration.gspan import CODE_KEY, enumerate_gspan
 from repro.isomorphism.dfscode import DFSCode, code_to_graph
-from repro.isomorphism.matcher import DEFAULT_MAX_EMB
 
 
 def _triple_sim(a: frozenset, b: frozenset) -> float:
@@ -36,7 +35,6 @@ def catapult_lite(
     e_min: int = 1,
     sup_min: float = 0.1,
     lam: float = 2.0,
-    max_emb: int = DEFAULT_MAX_EMB,
 ) -> list[tuple[DFSCode, int]]:
     """Select k canned patterns: frequent candidates, MMR-greedy picking.
 
@@ -52,7 +50,6 @@ def catapult_lite(
         visitor=lambda ps: cands.append((ps.code, ps.support))
         if len(ps.code) >= e_min
         else None,
-        max_emb=max_emb,
     )
     cands.sort(key=lambda t: CODE_KEY(t[0]))  # deterministic base order
     triples = {code: code_to_graph(code).edge_triple_set for code, _ in cands}

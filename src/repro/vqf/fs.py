@@ -13,7 +13,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.enumeration.gspan import CODE_KEY, enumerate_gspan
 from repro.isomorphism.dfscode import DFSCode, code_to_graph
-from repro.isomorphism.matcher import DEFAULT_MAX_EMB, contains
+from repro.isomorphism.matcher import contains
 
 
 def _maximal(found: list[tuple[DFSCode, int]]) -> list[tuple[DFSCode, int]]:
@@ -44,7 +44,6 @@ def top_k_frequent(
     e_max: int,
     e_min: int = 1,
     sup_min: float = 0.3,
-    max_emb: int = DEFAULT_MAX_EMB,
 ) -> list[tuple[DFSCode, int]]:
     """Mine frequent subgraphs, keep the maximal ones, return the top-k as
     (code, support). ``e_min`` is the VQF pattern budget's minimum size."""
@@ -57,7 +56,6 @@ def top_k_frequent(
         visitor=lambda ps: found.append((ps.code, ps.support))
         if len(ps.code) >= e_min
         else None,
-        max_emb=max_emb,
     )
     maximal = _maximal(found)
     maximal.sort(key=lambda t: (-t[1], -len(t[0]), CODE_KEY(t[0])))

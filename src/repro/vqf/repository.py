@@ -1,4 +1,4 @@
-"""Biological-importance repository stand-in (Table 7) + pattern supports.
+"""Biological-importance repository stand-in (Table 7).
 
 The paper calls a pattern biologically important if it exists as a compound
 in the NIH PubChem repository. Offline substitution: the repository is the
@@ -8,12 +8,8 @@ a library motif. See DESIGN.md §3.7.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
-
-from repro.enumeration.distributed import match_level
 from repro.graphdb.generator import motif_library
 from repro.isomorphism.dfscode import DFSCode, canonical
-from repro.isomorphism.matcher import DEFAULT_MAX_EMB
 
 
 def repository_canon(labeled_edges: bool = False) -> frozenset[DFSCode]:
@@ -45,15 +41,3 @@ def bio_importance_count(
     hits = [p for p in patterns if has_bio_importance(p, labeled_edges=labeled_edges)]
     return len(hits), hits
 
-
-def pattern_supports(
-    spark: SparkSession,
-    edges: DataFrame,
-    codes: list[DFSCode],
-    *,
-    max_emb: int = DEFAULT_MAX_EMB,
-) -> dict[DFSCode, int]:
-    """Support of each pattern over D with one Spark job — used to flag
-    infrequent (sup < sup_min) patterns in Table 6's "Yes" column."""
-    stats = match_level(spark, edges, codes, want_extensions=False, max_emb=max_emb)
-    return {ps.code: ps.support for ps in stats}

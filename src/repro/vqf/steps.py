@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.graphdb.model import Graph
 from repro.isomorphism.dfscode import DFSCode, code_to_graph
-from repro.isomorphism.matcher import DEFAULT_MAX_EMB, contains, iter_embeddings
+from repro.isomorphism.matcher import contains, iter_embeddings
 
 
 def usable_patterns(patterns: list[DFSCode], query: Graph) -> list[DFSCode]:
@@ -21,12 +21,7 @@ def usable_patterns(patterns: list[DFSCode], query: Graph) -> list[DFSCode]:
     return [p for p in patterns if contains(query, p)]
 
 
-def formulation_steps(
-    patterns: list[DFSCode],
-    query: Graph,
-    *,
-    max_emb: int = DEFAULT_MAX_EMB,
-) -> tuple[int, int]:
+def formulation_steps(patterns: list[DFSCode], query: Graph) -> tuple[int, int]:
     """``(steps, n_patterns_placed)`` to build Q with pattern set P.
 
     Greedy: repeatedly place the largest usable pattern on an embedding
@@ -42,7 +37,7 @@ def formulation_steps(
         placed = True
         while placed:
             placed = False
-            for _, eids in iter_embeddings(code, query, max_emb=max_emb):
+            for _, eids in iter_embeddings(code, query):
                 if not (set(eids) & used_edges):
                     used_edges.update(eids)
                     placements += 1

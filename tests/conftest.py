@@ -1,8 +1,10 @@
 """Shared fixtures for Spark-dependent tests: one tiny molecule database and
-its cached edge DataFrame, reused across the whole session."""
+its cached edge DataFrame, reused across the whole session, plus a one-graph
+clique database on which the matcher's embedding cap triggers."""
 import pytest
 
 from repro.graphdb.generator import molecule_db
+from repro.graphdb.model import make_graph
 from repro.graphdb.spark_io import to_edges_df
 
 
@@ -15,6 +17,19 @@ def tiny_mol_db():
 @pytest.fixture(scope="session")
 def tiny_edges(spark, tiny_mol_db):
     df = to_edges_df(spark, tiny_mol_db).cache()
+    df.count()
+    yield df
+    df.unpersist()
+
+
+@pytest.fixture(scope="session")
+def clique_edges(spark):
+    """One single-label 7-clique. The 4-edge path and 4-star have 2520
+    embeddings each, over the 2000 cap; no pattern of <= 3 edges has more
+    than 840."""
+    n = 7
+    g = make_graph(0, ["C"] * n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    df = to_edges_df(spark, [g]).cache()
     df.count()
     yield df
     df.unpersist()

@@ -18,8 +18,8 @@ K, E_MAX = 3, 3
 
 class TestEnumerateCoverSets:
     def test_matches_bruteforce_sets(self, spark, tiny_mol_db, tiny_edges):
-        sets, timed_out = enumerate_cover_sets(spark, tiny_edges, e_max=2)
-        assert not timed_out
+        sets, stats = enumerate_cover_sets(spark, tiny_edges, e_max=2)
+        assert not stats.timed_out
         bf = distinct_patterns_bruteforce(tiny_mol_db, 2)
         assert len(sets) == len(bf)
         bf_covers = set()
@@ -84,4 +84,15 @@ class TestAlgorithms:
 
     def test_result_row_shape(self, spark, tiny_edges):
         row = all_g(spark, tiny_edges, k=K, e_max=2).row()
-        assert {"algo", "coverage_rate", "time_s"} <= set(row)
+        assert {"algo", "coverage_rate", "truncated", "time_s"} <= set(row)
+
+
+class TestTruncation:
+    def test_not_truncated_on_molecules(self, spark, tiny_edges):
+        assert not all_g(spark, tiny_edges, k=K, e_max=E_MAX).truncated
+
+    @pytest.mark.parametrize("e_max, expected", [(3, False), (4, True)])
+    def test_all_g_reports_cap_on_clique(self, spark, clique_edges, e_max, expected):
+        r = all_g(spark, clique_edges, k=K, e_max=e_max)
+        assert r.truncated is expected
+        assert r.row()["truncated"] is expected

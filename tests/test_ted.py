@@ -1,16 +1,17 @@
 """TED framework tests: variant validity, incremental-vs-recomputed
 coverage, the Theorem-4 approximation bound against exact OPT, the
-optimization strategies' behaviour, and that the enumeration does not repeat
-IPS's level jobs."""
+optimization strategies' behaviour, that the enumeration does not repeat
+IPS's level jobs, and that embedding-cap truncation is reported."""
 import importlib
 import random
 
 import pytest
 
 from repro.core.baselines import all_g, opt_exact
-from repro.core.ted import coverage_of_patterns, ips_initial_patterns, ted
+from repro.core.ted import ips_initial_patterns, match_level, ted
 from repro.enumeration.gspan import enumerate_gspan
 from repro.graphdb.generator import molecule_db
+from repro.graphdb.model import make_graph
 from repro.graphdb.spark_io import to_edges_df
 from repro.isomorphism.dfscode import code_to_graph, is_min
 from tests.helpers import tiny_db
@@ -52,8 +53,11 @@ class TestVariantValidity:
     def test_incremental_coverage_matches_recomputation(
         self, spark, tiny_edges, variant_result
     ):
-        cov, _ = coverage_of_patterns(spark, tiny_edges, variant_result.patterns)
-        assert cov == variant_result.coverage
+        stats = match_level(spark, tiny_edges, variant_result.patterns, want_extensions=False)
+        assert len(frozenset().union(*(ps.cover for ps in stats))) == variant_result.coverage
+
+    def test_not_truncated_on_molecules(self, variant_result):
+        assert not variant_result.truncated
 
     def test_instrumentation_populated(self, variant_result):
         assert variant_result.elapsed_s > 0
@@ -176,3 +180,37 @@ class TestVsGreedyAll:
         allg = all_g(spark, tiny_edges, k=K, e_max=E_MAX)
         r = ted(spark, tiny_edges, k=K, e_max=E_MAX)
         assert r.coverage >= 0.85 * allg.coverage
+
+
+class TestTruncation:
+    """The embedding cap is reported as ``AlgoResult.truncated``."""
+
+    @pytest.mark.parametrize("variant", ["base", "ted"])
+    @pytest.mark.parametrize("e_max, expected", [(3, False), (4, True)])
+    def test_reports_cap_on_clique(
+        self, spark, clique_edges, monkeypatch, variant, e_max, expected
+    ):
+        """Also checks the flag against what the level jobs returned, which
+        covers IPS's jobs in the ``ted`` variant."""
+        seen = []
+        for name in ("repro.core.ted", "repro.enumeration.gspan"):
+            mod = importlib.import_module(name)
+
+            def spy(spark, edges, codes, *, _real=mod.match_level, **kw):
+                out = _real(spark, edges, codes, **kw)
+                seen.extend(ps.truncated for ps in out)
+                return out
+
+            monkeypatch.setattr(mod, "match_level", spy)
+        r = ted(spark, clique_edges, k=K, e_max=e_max, variant=variant)
+        assert r.truncated is expected and any(seen) is expected
+
+    @pytest.mark.parametrize("variant, expected", [("base", False), ("ted", True)])
+    def test_ips_matches_count(self, spark, variant, expected):
+        """A C with 46 N leaves: N-C-N has 46 * 45 = 2070 embeddings. IPS
+        matches it on its first step; the enumeration, stopped after level 1
+        by the time limit, never does."""
+        star = make_graph(0, ["C"] + ["N"] * 46, [(0, v) for v in range(1, 47)])
+        edges = to_edges_df(spark, [star])
+        r = ted(spark, edges, k=K, e_max=E_MAX, variant=variant, time_limit_s=0.0)
+        assert r.timed_out and r.truncated is expected

@@ -8,7 +8,7 @@ from repro.isomorphism.dfscode import canonical, min_code_of_graph
 from repro.vqf.catapult import catapult_lite
 from repro.vqf.fs import top_k_frequent
 from repro.vqf.queries import frequent_query, query_set, sample_query
-from repro.vqf.repository import bio_importance_count, pattern_supports, repository_canon
+from repro.vqf.repository import bio_importance_count, repository_canon
 from repro.vqf.steps import formulation_steps, reduction_ratio, usable_patterns
 
 
@@ -124,9 +124,11 @@ class TestComparatorPatternSets:
         assert fs != cat  # MMR diversification must change the selection
 
     def test_pattern_supports_match_direct_count(self, spark, tiny_mol_db, tiny_edges):
+        from repro.enumeration.distributed import match_level
         from repro.isomorphism.matcher import contains
 
         codes = [code(["C", "C"], [(0, 1)]), code(["C", "N"], [(0, 1)])]
-        sups = pattern_supports(spark, tiny_edges, codes)
+        stats = match_level(spark, tiny_edges, codes, want_extensions=False)
+        sups = {ps.code: ps.support for ps in stats}
         for c in codes:
             assert sups[c] == sum(contains(g, c) for g in tiny_mol_db)
