@@ -7,9 +7,9 @@ def _driver_mem() -> str:
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
     limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
+    from SparkConf, so it must be in the environment before the first
+    session is built; ``jobs._common.get_spark`` then writes it into
+    PYSPARK_SUBMIT_ARGS. This runs at conftest import, before any fixture.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
@@ -38,14 +38,6 @@ def _driver_mem() -> str:
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
-os.environ.setdefault(
-    "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
-    "pyspark-shell",
-)
 
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
@@ -57,9 +49,8 @@ from jobs._common import get_spark  # noqa: E402
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch); every other setting comes from the session factory the
-    jobs and the benchmark use, ``jobs._common.get_spark``.
+    Built by the session factory the jobs and the benchmark use,
+    ``jobs._common.get_spark``, with the driver memory set above.
     """
     s = get_spark("repro")
     # One line in test_output.txt that tells the driver whether the

@@ -28,7 +28,7 @@ def get_spark(app_name: str):
 
     s = (
         SparkSession.builder.appName(app_name)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
+        .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         # Stage progress bars are redrawn with \r on stderr and garble the
         # status lines callers print there.

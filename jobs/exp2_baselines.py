@@ -12,8 +12,9 @@ import sys
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
 from _common import emit, get_spark, render_table  # noqa: E402
+from exp1 import METHODS  # noqa: E402
 
-from repro.core.baselines import all_g, all_t, fsg_g, fsg_t  # noqa: E402
+from repro.core.baselines import all_g, fsg_g  # noqa: E402
 from repro.core.ted import ted  # noqa: E402
 from repro.graphdb.generator import molecule_db  # noqa: E402
 from repro.graphdb.spark_io import to_edges_df  # noqa: E402
@@ -30,14 +31,8 @@ def run_scale(spark, sizes=SIZES) -> list[dict]:
         db = molecule_db("aids_lite", n, seed=0)
         edges = to_edges_df(spark, db).cache()
         edges.count()
-        for r in [
-            ted(spark, edges, k=K, e_max=E_MAX, time_limit_s=TIME_LIMIT),
-            all_g(spark, edges, k=K, e_max=E_MAX, time_limit_s=TIME_LIMIT),
-            all_t(spark, edges, k=K, e_max=E_MAX, time_limit_s=TIME_LIMIT),
-            fsg_g(spark, edges, k=K, e_max=E_MAX, sup_min=0.1, time_limit_s=TIME_LIMIT),
-            fsg_t(spark, edges, k=K, e_max=E_MAX, sup_min=0.1, time_limit_s=TIME_LIMIT),
-        ]:
-            rows.append({"|D|": n, **r.row()})
+        for m in METHODS:
+            rows.append({"|D|": n, **m(spark, edges, k=K, e_max=E_MAX, time_limit_s=TIME_LIMIT).row()})
         edges.unpersist()
     return rows
 

@@ -7,7 +7,7 @@ task rebuilds its partition's graphs once and runs the embedding matcher for
 every frontier pattern against each of them. The job emits one row per
 (pattern, graph) with embeddings:
 
-    (pattern_id, graph_id, n_emb, covered: array<long>, exts: array<string>,
+    (pattern_id, graph_id, covered: array<long>, exts: array<string>,
      truncated: boolean)
 
 ``covered`` holds *global* edge keys (``edge_key(gid, eid)``), so cover sets
@@ -53,7 +53,6 @@ LEVEL_SCHEMA = StructType(
     [
         StructField("pattern_id", LongType(), False),
         StructField("graph_id", LongType(), False),
-        StructField("n_emb", LongType(), False),
         StructField("covered", ArrayType(LongType(), False), False),
         StructField("exts", ArrayType(StringType(), False), False),
         StructField("truncated", BooleanType(), False),
@@ -68,7 +67,6 @@ class PatternLevelStats:
     code: DFSCode
     support_gids: frozenset[int]      # graphs with >= 1 embedding
     cover: frozenset[int]             # global edge keys = Cov(p, D)
-    n_embeddings: int                 # total embeddings across D
     extensions: frozenset[Edge5]      # observed rightmost extensions
     truncated: bool                   # any graph hit the embedding cap
 
@@ -128,7 +126,6 @@ def match_level_df(
                     (
                         pid,
                         g.gid,
-                        ms.n_embeddings,
                         [edge_key(g.gid, e) for e in sorted(ms.covered_eids)],
                         sorted(_encode_ext(e) for e in ms.extensions),
                         ms.truncated,
@@ -156,21 +153,18 @@ def match_level(
     pdf = match_level_df(spark, edges, codes, want_extensions=want_extensions).toPandas()
     supports: list[set[int]] = [set() for _ in codes]
     covers: list[set[int]] = [set() for _ in codes]
-    n_embs = [0] * len(codes)
     exts: list[set[Edge5]] = [set() for _ in codes]
     trunc = [False] * len(codes)
     decoded: dict[str, Edge5] = {}  # each distinct extension string is parsed once
-    for pid, gid, n_emb, covered, ext_strs, truncated in zip(
+    for pid, gid, covered, ext_strs, truncated in zip(
         pdf["pattern_id"].tolist(),
         pdf["graph_id"].tolist(),
-        pdf["n_emb"].tolist(),
         pdf["covered"],
         pdf["exts"],
         pdf["truncated"].tolist(),
     ):
         supports[pid].add(gid)
         covers[pid].update(covered.tolist())
-        n_embs[pid] += n_emb
         for s in ext_strs:
             e = decoded.get(s)
             if e is None:
@@ -182,7 +176,6 @@ def match_level(
             code=codes[i],
             support_gids=frozenset(supports[i]),
             cover=frozenset(covers[i]),
-            n_embeddings=n_embs[i],
             extensions=frozenset(exts[i]),
             truncated=trunc[i],
         )

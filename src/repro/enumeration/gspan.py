@@ -70,7 +70,6 @@ def enumerate_gspan(
     *,
     e_max: int,
     min_support_frac: float = 0.0,
-    n_graphs: int | None = None,
     visitor: Callable[[PatternLevelStats], None] | None = None,
     extend_filter: Callable[[PatternLevelStats], bool] | None = None,
     time_limit_s: float | None = None,
@@ -83,6 +82,8 @@ def enumerate_gspan(
     fewer than ``ceil(frac * |D|)`` graphs are dropped *and* their subtrees
     pruned (support is anti-monotone under rightmost extension). With
     ``frac = 0`` every pattern with support >= 1 survives — the ALL setting.
+    ``|D|`` is the union of the level-1 supports: every edge matches the
+    root of its own label triple.
 
     ``visitor`` sees each surviving pattern exactly once, in canonical
     DFS-code order within each level. ``extend_filter`` decides whether a
@@ -96,9 +97,7 @@ def enumerate_gspan(
     ``roots`` is :func:`level1_codes` of ``edges`` when the caller already
     has it; by default the edge table is scanned for it.
     """
-    if min_support_frac > 0 and n_graphs is None:
-        n_graphs = edges.select("graph_id").distinct().count()
-    threshold = max(1, math.ceil(min_support_frac * (n_graphs or 1)))
+    threshold = 1
     matched = {} if matched is None else matched
     t0 = time.perf_counter()
     stats = EnumStats()
@@ -111,6 +110,9 @@ def enumerate_gspan(
         if todo:
             level += match_level(spark, edges, todo, want_extensions=True)
         stats.n_matched += len(level)
+        if stats.levels == 1 and min_support_frac > 0:
+            n_graphs = len(frozenset().union(*(ps.support_gids for ps in level)))
+            threshold = max(1, math.ceil(min_support_frac * n_graphs))
         children: list[DFSCode] = []
         for ps in sorted(level, key=lambda s: CODE_KEY(s.code)):
             if ps.truncated:

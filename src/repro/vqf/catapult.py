@@ -6,7 +6,7 @@ reproduction keeps its qualitative position (between FS's pure-frequency
 ranking and TED's pure edge coverage) with an MMR-style greedy:
 
     score(c | selected) = support_frac(c) * |E(c)|
-                          - lambda * max_{s in selected} sim(c, s)
+                          - LAMBDA * max_{s in selected} sim(c, s)
 
 where ``sim`` is Jaccard similarity of edge-label-triple sets — frequent,
 reasonably large, mutually diverse patterns. DESIGN.md documents the
@@ -18,6 +18,8 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.enumeration.gspan import CODE_KEY, enumerate_gspan
 from repro.isomorphism.dfscode import DFSCode, code_to_graph
+
+LAMBDA = 2.0  # weight of the redundancy penalty
 
 
 def _triple_sim(a: frozenset, b: frozenset) -> float:
@@ -34,7 +36,6 @@ def catapult_lite(
     e_max: int,
     e_min: int = 1,
     sup_min: float = 0.1,
-    lam: float = 2.0,
 ) -> list[tuple[DFSCode, int]]:
     """Select k canned patterns: frequent candidates, MMR-greedy picking.
 
@@ -46,7 +47,6 @@ def catapult_lite(
         edges,
         e_max=e_max,
         min_support_frac=sup_min,
-        n_graphs=n_graphs,
         visitor=lambda ps: cands.append((ps.code, ps.support))
         if len(ps.code) >= e_min
         else None,
@@ -63,7 +63,7 @@ def catapult_lite(
                 (_triple_sim(triples[code], triples[s]) for s, _ in selected),
                 default=0.0,
             )
-            score = base - lam * redun
+            score = base - LAMBDA * redun
             if score > best_score:
                 best, best_score = (code, sup), score
         selected.append(best)

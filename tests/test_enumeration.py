@@ -56,18 +56,16 @@ class TestMatchLevel:
         codes = level1_codes(tiny_edges)[:6]
         stats = match_level(spark, tiny_edges, codes)
         for ps in stats:
-            exp_sup, exp_cov, exp_emb = set(), set(), 0
+            exp_sup, exp_cov = set(), set()
             exp_ext = set()
             for g in tiny_mol_db:
                 ms = match_stats(ps.code, g)
                 if ms.n_embeddings:
                     exp_sup.add(g.gid)
                     exp_cov |= {edge_key(g.gid, e) for e in ms.covered_eids}
-                    exp_emb += ms.n_embeddings
                     exp_ext |= ms.extensions
             assert ps.support_gids == exp_sup
             assert ps.cover == exp_cov
-            assert ps.n_embeddings == exp_emb
             assert ps.extensions == exp_ext
 
     def test_output_order_matches_input(self, spark, tiny_edges):
@@ -78,7 +76,7 @@ class TestMatchLevel:
     def test_level_df_schema(self, spark, tiny_edges):
         codes = level1_codes(tiny_edges)[:2]
         df = match_level_df(spark, tiny_edges, codes)
-        assert df.columns == ["pattern_id", "graph_id", "n_emb", "covered", "exts", "truncated"]
+        assert df.columns == ["pattern_id", "graph_id", "covered", "exts", "truncated"]
 
     def test_level_job_runs_one_task_per_core(self, spark, tiny_edges):
         """The matching stage is not coalesced into a single task."""

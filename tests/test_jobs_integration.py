@@ -19,10 +19,10 @@ def load_job(name: str):
 
 
 def test_run_all_lists_every_job_once():
-    """``run_all.sh`` is the one entrypoint per table: it names exactly the
-    job scripts under ``jobs/``, apart from the shared helper modules."""
+    """``run_all.sh`` is the one entrypoint per paper study: it names exactly
+    the job scripts under ``jobs/``, apart from the shared helper module."""
     loop = (JOBS / "run_all.sh").read_text().split("for job in", 1)[1].split(";", 1)[0]
-    scripts = {p.stem for p in JOBS.glob("*.py")} - {"_common", "vqf_common"}
+    scripts = {p.stem for p in JOBS.glob("*.py")} - {"_common"}
     assert sorted(loop.replace("\\", " ").split()) == sorted(scripts)
 
 
@@ -63,9 +63,7 @@ class TestTables3And4:
 class TestVqfTables:
     @pytest.fixture(scope="class")
     def setup_small(self, spark):
-        sys.path.insert(0, str(JOBS))
-        vq = load_job("vqf_common")
-        return vq.build_setup(spark, "aids_lite", n_graphs=40, seed=1)
+        return load_job("vqf_studies").build_setup(spark, "aids_lite", n_graphs=40, seed=1)
 
     def test_table5_queries_in_range(self, setup_small):
         for q in setup_small.queries:
@@ -74,7 +72,7 @@ class TestVqfTables:
     def test_table6_ted_usable_counts_competitive(self, setup_small):
         """At toy scale (40 graphs) the strict TED > FS ordering of the
         paper's Table 6 is noisy; assert TED stays competitive here and
-        leave the full-scale ordering to jobs/table6_vqf.py + EXPERIMENTS."""
+        leave the full-scale ordering to jobs/vqf_studies.py + EXPERIMENTS."""
         from repro.vqf.steps import usable_patterns
 
         tot = {
@@ -99,6 +97,12 @@ class TestVqfTables:
             n, _ = bio_importance_count(codes)
             assert 0 <= n <= len(codes)
 
+    def test_tables_have_one_row_per_query_or_set(self, spark, setup_small):
+        vq = load_job("vqf_studies")
+        assert len(vq.table5_queries([setup_small])) == vq.N_QUERIES
+        assert len(vq.table6_vqf(spark, [setup_small])) == vq.N_QUERIES
+        assert [r["pattern_set"] for r in vq.table7_bio(setup_small)] == ["FS", "CATAPULT", "TED"]
+
     def test_teardown(self, setup_small):
         setup_small.edges.unpersist()
 
@@ -115,7 +119,10 @@ class TestExperimentShapes:
         assert all(r["ratio_to_opt"] >= 0.25 for r in by_algo["TED"])
 
     def test_exp7_rr_increases_with_rho(self, spark):
-        rows = load_job("exp7_rr").run(spark, n_graphs=40, rhos=(0.0, 0.5, 1.0))
+        vq = load_job("vqf_studies")
+        setup = vq.build_setup(spark, "aids_lite", n_graphs=40, seed=0)
+        setup.edges.unpersist()
+        rows = vq.exp7_rr(setup, rhos=(0.0, 0.5, 1.0))
         rr = {r["rho"]: r["avg_RR"] for r in rows}
         # shape: RR at high rho should not be below RR at rho=0
         assert rr[1.0] >= rr[0.0]
@@ -126,3 +133,32 @@ class TestExperimentShapes:
         crits = {r["criterion"] for r in rows}
         assert crits == {"Swap_1", "Swap_2", "Swap_a(0.5)"}
         assert all(0 < r["coverage_rate"] <= 1 for r in rows)
+
+
+class TestSweepJobs:
+    """The sweep jobs run end to end at toy scale: one row per (point,
+    method), none truncated and none timed out."""
+
+    @staticmethod
+    def check(rows, n_rows):
+        assert len(rows) == n_rows
+        assert [r["truncated"] for r in rows] == [False] * n_rows
+        assert "INF" not in [r["time_s"] for r in rows]
+
+    def test_exp1_sweeps(self, spark):
+        exp1 = load_job("exp1")
+        n = len(exp1.METHODS)
+        self.check(exp1.run_vary_k(spark, n_graphs=6, ks=(2,)), n)
+        self.check(exp1.run_vary_emax(spark, n_graphs=6, emaxes=(2,)), n)
+
+    def test_exp2_run_scale(self, spark):
+        self.check(load_job("exp2_baselines").run_scale(spark, sizes=(6,)), 5)
+
+    def test_exp2_node_buckets(self, spark):
+        exp2 = load_job("exp2_baselines")
+        self.check(exp2.run_node_buckets(spark, per_bucket=10), 3 * len(exp2.NODE_BUCKETS))
+
+    def test_exp3_opts(self, spark):
+        rows = load_job("exp3_opts").run(spark, n_graphs=6)
+        self.check(rows, 3)
+        assert [r["algo"] for r in rows] == ["BASE", "PRM", "TED"]
