@@ -107,7 +107,13 @@ def _run_materialized(
         n_enumerated=len(sets),
         n_swaps=n_swaps,
         stored_candidate_bytes=_candidate_bytes(sets),
-        extra={"k": k, "e_max": e_max, "sup_min": min_support_frac},
+        extra={
+            "k": k,
+            "e_max": e_max,
+            "sup_min": min_support_frac,
+            "n_matched": enum_stats.n_matched,
+            "n_children_nonmin": enum_stats.n_children_nonmin,
+        },
     )
 
 

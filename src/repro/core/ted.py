@@ -200,6 +200,8 @@ def ted(
             "e_max": e_max,
             "levels": enum_stats.levels,
             "peak_frontier": enum_stats.peak_frontier,
+            "n_matched": enum_stats.n_matched,
+            "n_children_nonmin": enum_stats.n_children_nonmin,
         },
     )
 

@@ -1,11 +1,19 @@
 """One enumeration level as a distributed Spark scan/aggregate job.
 
-The frontier (a list of DFS codes) is broadcast; the edge table is hashed on
-``graph_id`` into ``defaultParallelism`` partitions, so every graph lies in
-exactly one partition, and each partition is one ``mapInPandas`` task. The
-task rebuilds its partition's graphs once and runs the embedding matcher for
-every frontier pattern against each of them. The job emits one row per
-(pattern, graph) with embeddings:
+The frontier (a list of DFS codes) is grouped by DFS-code prefix
+(``code[:-1]``, the pattern's parent under rightmost extension) and
+broadcast; the edge table is hashed on ``graph_id`` into
+``defaultParallelism`` partitions, so every graph lies in exactly one
+partition, and each partition is one ``mapInPandas`` task. The task rebuilds
+its partition's graphs once and matches the frontier against each of them
+with :func:`repro.isomorphism.matcher.match_frontier`: per graph, each
+prefix's embeddings are enumerated once, the children of a prefix with no
+embedding are skipped, and every other child's embeddings are the prefix
+embeddings extended by its last entry (gSpan's projection). 1-edge patterns
+have an empty prefix and are matched directly. Where the prefix or a child
+reaches the embedding cap, that child is matched from the root with
+``match_stats``, so every row is exactly what ``match_stats`` gives. The
+job emits one row per (pattern, graph) with embeddings:
 
     (pattern_id, graph_id, covered: array<long>, exts: array<string>,
      truncated: boolean)
@@ -20,11 +28,11 @@ Each Python task has a fixed cost. It used to be 0.1-0.3 s, because PySpark's
 worker calls ``importlib.invalidate_caches()`` before every task and each
 ``zipimporter`` over ``pyspark.zip`` then re-reads its archive; the session's
 daemon (:mod:`repro.spark_daemon`) makes workers import the installed
-pyspark instead, which leaves no zip importer to re-read. With that, on the
-1378-pattern level-3 frontier of aids_lite-100 on 4 cores (10 alternating
-rounds), 4 partitions took a median 0.60 s, 8 took 0.61 s and 16 took
-0.66 s: 4 still has the lowest median, by at most 1.1x, where it was
-1.5-2.3x before. A shuffle with an explicit partition count is also never
+pyspark instead, which leaves no zip importer to re-read. With that, and
+before matching was shared by prefix, on the 1378-pattern level-3 frontier
+of aids_lite-100 on 4 cores (10 alternating rounds), 4 partitions took a
+median 0.60 s, 8 took 0.61 s and 16 took 0.66 s: 4 still has the lowest
+median, by at most 1.1x, where it was 1.5-2.3x before. A shuffle with an explicit partition count is also never
 coalesced by adaptive query execution, which folds a ``groupBy`` shuffle of
 this small table into a single task.
 """
@@ -44,10 +52,10 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from repro.graphdb.model import Graph, edge_key
+from repro.graphdb.model import edge_key
 from repro.graphdb.spark_io import graphs_from_pandas
-from repro.isomorphism.dfscode import DFSCode, Edge5, code_to_graph
-from repro.isomorphism.matcher import match_stats
+from repro.isomorphism.dfscode import DFSCode, Edge5
+from repro.isomorphism.matcher import match_frontier, prepare_frontier
 
 LEVEL_SCHEMA = StructType(
     [
@@ -97,18 +105,16 @@ def match_level_df(
 ) -> DataFrame:
     """The level job as a DataFrame (schema :data:`LEVEL_SCHEMA`).
 
-    Patterns are prepared (code -> pattern graph) on the driver and shipped
-    once per executor via a Spark broadcast. The edges are hash-partitioned
-    on ``graph_id`` into ``defaultParallelism`` partitions; each
+    The frontier is prepared on the driver (grouped by prefix, each code
+    and prefix materialized as a pattern graph) and shipped once per
+    executor via a Spark broadcast. The edges are hash-partitioned on
+    ``graph_id`` into ``defaultParallelism`` partitions; each
     ``mapInPandas`` task concatenates all Arrow batches of its partition
-    (a graph never leaves its partition but may be split across batches), rebuilds
-    the graphs once and matches every pattern against each. A partition
-    with no rows emits nothing.
+    (a graph never leaves its partition but may be split across batches),
+    rebuilds the graphs once and matches the whole frontier against each.
+    A partition with no rows emits nothing.
     """
-    prepared: list[tuple[int, DFSCode, Graph]] = [
-        (pid, code, code_to_graph(code)) for pid, code in enumerate(codes)
-    ]
-    bc = spark.sparkContext.broadcast(prepared)
+    bc = spark.sparkContext.broadcast(prepare_frontier(codes))
     want_ext = want_extensions
     columns = [f.name for f in LEVEL_SCHEMA.fields]
 
@@ -118,10 +124,7 @@ def match_level_df(
             return
         rows = []
         for g in graphs_from_pandas(pd.concat(parts, ignore_index=True)):
-            for pid, code, pat in bc.value:
-                ms = match_stats(code, g, want_extensions=want_ext, pattern=pat)
-                if ms.n_embeddings == 0:
-                    continue
+            for pid, ms in match_frontier(bc.value, g, want_extensions=want_ext):
                 rows.append(
                     (
                         pid,

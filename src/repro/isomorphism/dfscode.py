@@ -155,7 +155,17 @@ def min_code_of_graph(g: Graph) -> DFSCode:
 
 
 def is_min(code: DFSCode) -> bool:
-    """True iff ``code`` is the canonical minimal code of its own graph."""
+    """True iff ``code`` is the canonical minimal code of its own graph.
+
+    The minimal code starts from the smallest edge triple over both
+    orientations of every edge, so a code with an entry whose smaller
+    orientation sorts below its first entry's labels is rejected before the
+    full canonicalization (gSpan's cheap pre-check).
+    """
+    first = code[0][2:]
+    for _, _, li, el, lj in code:
+        if min((li, el, lj), (lj, el, li)) < first:
+            return False
     return min_code_of_graph(code_to_graph(code)) == code
 
 

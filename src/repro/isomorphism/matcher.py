@@ -8,6 +8,12 @@ DFS-code pattern in a data graph, and derive from them
 
 Embeddings follow the code's own DFS order, so candidate vertices are always
 adjacent to the partial embedding — no global backtracking search is needed.
+:func:`match_stats` matches one pattern in one graph; :func:`match_frontier`
+matches a whole enumeration level in one graph, enumerating the embeddings
+of each shared parent (DFS-code prefix) once and extending them by each
+child's last entry, with results equal to :func:`match_stats` for every
+pattern.
+
 A per-(pattern, graph) embedding cap guards against pathological blowup on
 near-unlabeled graphs. It is a fixed policy of this module
 (:data:`DEFAULT_MAX_EMB`); a hit is surfaced in :class:`MatchResult`, and
@@ -17,12 +23,17 @@ never triggers on the molecule data and that it is reported on a clique.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.graphdb.model import Graph
-from repro.isomorphism.dfscode import DFSCode, code_to_graph, rightmost_path
+from repro.isomorphism.dfscode import DFSCode, Edge5, code_to_graph, rightmost_path
 
 #: Cap on embeddings enumerated per (pattern, graph).
 DEFAULT_MAX_EMB = 2000
+
+#: A partial embedding: (vmap, used vertices, eids); ``len(eids)`` entries are bound.
+_State = tuple[list[int], set[int], list[int]]
 
 
 @dataclass
@@ -31,70 +42,86 @@ class MatchResult:
 
     n_embeddings: int
     covered_eids: set[int]  # local edge ids within the graph
-    extensions: set[tuple[int, int, str, str, str]]
+    extensions: set[Edge5]
     truncated: bool  # True if the embedding cap was hit
 
 
-def iter_embeddings(code: DFSCode, g: Graph, max_emb: int = DEFAULT_MAX_EMB):
-    """Yield ``(vmap, eids)`` for each embedding, stopping after ``max_emb``.
+def _step(
+    g: Graph, entry: Edge5, vmap: list[int], used_v: set[int], eids: list[int]
+) -> list[_State]:
+    """The partial embeddings that bind ``entry`` onto ``(vmap, used_v, eids)``.
 
-    ``match_stats`` passes its cap through; the VQF step model uses it to
-    place patterns on edge-disjoint regions of a query."""
+    A forward entry binds a fresh neighbour of ``vmap[i]`` to the new pattern
+    vertex ``j``; a backward entry requires the graph edge between the two
+    bound vertices. Each result is a new ``(vmap, used_v, eids)`` state.
+    """
+    i, j, _, el, lj = entry
+    out = []
+    if j == len(vmap):  # forward: bind a new vertex for j
+        for nbr, nel, eid in g.adj[vmap[i]]:
+            if nel == el and nbr not in used_v and g.vlabels[nbr] == lj:
+                out.append((vmap + [nbr], used_v | {nbr}, eids + [eid]))
+    else:  # backward: required edge between two bound vertices
+        hit = g.edge_lookup.get((vmap[i], vmap[j]))
+        if hit is not None and hit[0] == el:
+            out.append((vmap, used_v, eids + [hit[1]]))
+    return out
+
+
+def iter_embeddings(code: DFSCode, g: Graph, max_emb: int = DEFAULT_MAX_EMB):
+    """Yield ``(vmap, eids)`` for each embedding of ``code`` in ``g``,
+    stopping after ``max_emb``.
+
+    ``vmap[p]`` is the graph vertex bound to pattern vertex ``p`` and
+    ``eids[t]`` the graph edge bound to code entry ``t``. The search is
+    depth-first over partial embeddings, so which embeddings come first when
+    the cap cuts it short depends only on ``code`` and ``g``. Callers:
+    :func:`match_stats` (with its cap), :func:`match_frontier` (for the
+    shared prefix of a group of children), :func:`contains` (first hit
+    only) and the VQF step model, which places patterns on edge-disjoint
+    regions of a query.
+    """
     i0, j0, l0, el0, l1 = code[0]
     count = 0
-    # Iterative DFS over partial embeddings: stack of (vmap, used_vs, eids, t).
-    stack: list[tuple[list[int], set[int], list[int], int]] = []
+    stack: list[_State] = []
     for v0 in range(g.n_vertices):
         if g.vlabels[v0] != l0:
             continue
         for nbr, el, eid in g.adj[v0]:
             if el == el0 and g.vlabels[nbr] == l1:
-                stack.append(([v0, nbr], {v0, nbr}, [eid], 1))
+                stack.append(([v0, nbr], {v0, nbr}, [eid]))
+    n_entries = len(code)
     while stack:
-        vmap, used_v, eids, t = stack.pop()
-        if t == len(code):
+        vmap, used_v, eids = stack.pop()
+        t = len(eids)
+        if t == n_entries:
             yield vmap, eids
             count += 1
             if count >= max_emb:
                 return
             continue
-        i, j, li, el, lj = code[t]
-        if j == len(vmap):  # forward: bind a new vertex for j
-            gv = vmap[i]
-            for nbr, nel, eid in g.adj[gv]:
-                if nel == el and nbr not in used_v and g.vlabels[nbr] == lj:
-                    stack.append((vmap + [nbr], used_v | {nbr}, eids + [eid], t + 1))
-        else:  # backward: required edge between two bound vertices
-            hit = g.edge_lookup.get((vmap[i], vmap[j]))
-            if hit is not None and hit[0] == el:
-                stack.append((vmap, used_v, eids + [hit[1]], t + 1))
+        stack += _step(g, code[t], vmap, used_v, eids)
 
 
-def match_stats(
-    code: DFSCode,
+def _aggregate(
+    embeddings: Iterable[tuple[list[int], list[int]]],
     g: Graph,
+    p: Graph,
+    rmpath: list[int],
     *,
-    want_extensions: bool = True,
-    max_emb: int = DEFAULT_MAX_EMB,
-    pattern: Graph | None = None,
+    want_extensions: bool,
+    max_emb: int,
 ) -> MatchResult:
-    """Match ``code`` in ``g`` and aggregate embeddings.
-
-    ``pattern`` may be passed to avoid re-materializing ``code_to_graph``
-    when matching the same pattern across many graphs.
-    """
-    p = pattern if pattern is not None else code_to_graph(code)
-    if not g.could_contain(p):
-        return MatchResult(0, set(), set(), False)
-    rmpath = rightmost_path(code)
+    """Fold the ``(vmap, eids)`` embeddings of pattern ``p`` in ``g`` into a
+    :class:`MatchResult`; ``rmpath`` is the pattern's rightmost path and
+    ``max_emb`` the cap the embeddings were enumerated under."""
     rmpath_set = set(rmpath)
     rmv = rmpath[-1]
     n_pv = p.n_vertices
-
     n_emb = 0
     covered: set[int] = set()
-    exts: set[tuple[int, int, str, str, str]] = set()
-    for vmap, eids in iter_embeddings(code, g, max_emb):
+    exts: set[Edge5] = set()
+    for vmap, eids in embeddings:
         n_emb += 1
         covered.update(eids)
         if not want_extensions:
@@ -119,6 +146,114 @@ def match_stats(
                 if nbr not in inv:
                     exts.add((pi, n_pv, p.vlabels[pi], el, g.vlabels[nbr]))
     return MatchResult(n_emb, covered, exts, n_emb == max_emb)
+
+
+def match_stats(
+    code: DFSCode,
+    g: Graph,
+    *,
+    want_extensions: bool = True,
+    max_emb: int = DEFAULT_MAX_EMB,
+    pattern: Graph | None = None,
+) -> MatchResult:
+    """Match ``code`` in ``g`` and aggregate embeddings.
+
+    ``pattern`` may be passed to avoid re-materializing ``code_to_graph``
+    when matching the same pattern across many graphs.
+    """
+    p = pattern if pattern is not None else code_to_graph(code)
+    if not g.could_contain(p):
+        return MatchResult(0, set(), set(), False)
+    return _aggregate(
+        iter_embeddings(code, g, max_emb), g, p, rightmost_path(code),
+        want_extensions=want_extensions, max_emb=max_emb,
+    )
+
+
+class FrontierChild(NamedTuple):
+    """One frontier pattern, prepared once on the driver."""
+
+    index: int          # position in the frontier
+    code: DFSCode
+    pattern: Graph      # ``code_to_graph(code)``
+    rmpath: list[int]   # ``rightmost_path(code)``
+
+
+class PrefixGroup(NamedTuple):
+    """The frontier patterns that share the DFS-code prefix ``code[:-1]``,
+    i.e. the rightmost-extension children of one parent."""
+
+    prefix: DFSCode        # ``()`` for 1-edge patterns
+    pattern: Graph | None  # ``code_to_graph(prefix)``; None for ``()``
+    children: list[FrontierChild]
+
+
+def prepare_frontier(codes: list[DFSCode]) -> list[PrefixGroup]:
+    """Group a frontier of equal-length or mixed codes by their prefix
+    ``code[:-1]``, in order of first appearance; children keep input order."""
+    groups: dict[DFSCode, list[FrontierChild]] = {}
+    for idx, code in enumerate(codes):
+        groups.setdefault(code[:-1], []).append(
+            FrontierChild(idx, code, code_to_graph(code), rightmost_path(code))
+        )
+    return [
+        PrefixGroup(prefix, code_to_graph(prefix) if prefix else None, children)
+        for prefix, children in groups.items()
+    ]
+
+
+def _prefix_states(group: PrefixGroup, g: Graph) -> list[_State] | None:
+    """Every embedding of the group's prefix in ``g`` as a
+    ``(vmap, used_v, eids)`` state, or None when the children must be
+    matched from the root: 1-edge children (empty prefix), or a prefix whose
+    enumeration reaches :data:`DEFAULT_MAX_EMB`."""
+    if not group.prefix:
+        return None
+    if not g.could_contain(group.pattern):
+        return []
+    embs = list(islice(iter_embeddings(group.prefix, g), DEFAULT_MAX_EMB))
+    if len(embs) == DEFAULT_MAX_EMB:
+        return None
+    return [(vmap, set(vmap), eids) for vmap, eids in embs]
+
+
+def match_frontier(
+    prepared: list[PrefixGroup], g: Graph, *, want_extensions: bool = True
+) -> Iterator[tuple[int, MatchResult]]:
+    """Match a prepared frontier in ``g``; yield ``(index, MatchResult)`` for
+    every pattern with at least one embedding.
+
+    The prefix of each group is enumerated once, and each child's embeddings
+    are the prefix embeddings extended by the child's last entry — gSpan's
+    projection onto the parent's embeddings. No child of a prefix without an
+    embedding is looked at. Each result equals ``match_stats(code, g)``:
+    when the prefix or the child reaches the embedding cap, which embeddings
+    survive the cap depends on the search order, so that child is matched by
+    :func:`match_stats` instead.
+    """
+    for group in prepared:
+        states = _prefix_states(group, g)
+        if states == []:
+            continue
+        for child in group.children:
+            ms = None
+            if states is not None:
+                last = child.code[-1]
+                embs = list(islice(
+                    ((vmap, eids) for s in states for vmap, _, eids in _step(g, last, *s)),
+                    DEFAULT_MAX_EMB,
+                ))
+                if len(embs) < DEFAULT_MAX_EMB:
+                    ms = _aggregate(
+                        embs, g, child.pattern, child.rmpath,
+                        want_extensions=want_extensions, max_emb=DEFAULT_MAX_EMB,
+                    )
+            if ms is None:
+                ms = match_stats(
+                    child.code, g, want_extensions=want_extensions, pattern=child.pattern
+                )
+            if ms.n_embeddings:
+                yield child.index, ms
 
 
 def contains(g: Graph, pattern_code: DFSCode) -> bool:

@@ -82,6 +82,13 @@ class TestAlgorithms:
         r = all_g(spark, tiny_edges, k=K, e_max=4, time_limit_s=0.0)
         assert r.timed_out and r.row()["time_s"] == "INF"
 
+    def test_reports_enumeration_counters(self, spark, tiny_edges):
+        r = all_g(spark, tiny_edges, k=K, e_max=E_MAX)
+        _, stats = enumerate_cover_sets(spark, tiny_edges, e_max=E_MAX)
+        assert stats.n_visited == r.n_enumerated
+        assert r.extra["n_matched"] == stats.n_visited + stats.n_pruned_support
+        assert r.extra["n_children_nonmin"] == stats.n_children_nonmin > 0
+
     def test_result_row_shape(self, spark, tiny_edges):
         row = all_g(spark, tiny_edges, k=K, e_max=2).row()
         assert {"algo", "coverage_rate", "truncated", "time_s"} <= set(row)

@@ -2,7 +2,12 @@
 import pytest
 
 from repro.graphdb.model import make_graph
-from repro.isomorphism.bruteforce import canonical_form_bruteforce
+from repro.isomorphism import dfscode
+from repro.isomorphism.bruteforce import (
+    canonical_form_bruteforce,
+    connected_edge_subsets,
+    induced_subgraph,
+)
 from repro.isomorphism.dfscode import (
     canonical,
     code_to_graph,
@@ -13,6 +18,7 @@ from repro.isomorphism.dfscode import (
     min_code_of_graph,
     rightmost_path,
 )
+from repro.isomorphism.matcher import match_stats
 from tests.helpers import random_connected_graph
 
 
@@ -131,3 +137,39 @@ class TestMinimality:
     def test_min_code_requires_edges(self):
         with pytest.raises(ValueError):
             min_code_of_graph(make_graph(0, ["C"], []))
+
+
+def _children(seed):
+    """Every rightmost-extension child, observed in a random graph, of the
+    minimal code of each of its connected subgraphs with up to 3 edges."""
+    g = random_connected_graph(seed, edge_labels=["-", "="])
+    codes = {
+        min_code_of_graph(induced_subgraph(g, es)) for es in connected_edge_subsets(g, 3)
+    }
+    return [
+        code + (ext,) for code in sorted(codes) for ext in sorted(match_stats(code, g).extensions)
+    ]
+
+
+class TestIsMinPreCheck:
+    """``is_min`` rejects a code whose entry has a smaller label triple than
+    its first entry before running the full canonicalization."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_agrees_with_full_check(self, seed):
+        for child in _children(seed):
+            assert is_min(child) == (min_code_of_graph(code_to_graph(child)) == child)
+
+    def test_skips_full_check(self, monkeypatch):
+        full_checks = []
+        real = dfscode.min_code_of_graph
+
+        def counted(g):
+            full_checks.append(g)
+            return real(g)
+
+        monkeypatch.setattr(dfscode, "min_code_of_graph", counted)
+        children = [c for seed in range(40) for c in _children(seed)]
+        for child in children:
+            is_min(child)
+        assert 0 < len(full_checks) < len(children)

@@ -1,7 +1,12 @@
 """Tests for the embedding matcher — cover sets, counts, extensions —
-cross-checked against brute-force subgraph enumeration."""
+cross-checked against brute-force subgraph enumeration, and the
+prefix-shared frontier matcher cross-checked against per-code matching."""
+import random
+from itertools import islice
+
 import pytest
 
+from repro.graphdb.generator import molecule_db
 from repro.graphdb.model import make_graph
 from repro.isomorphism.bruteforce import (
     canonical_form_bruteforce,
@@ -10,13 +15,16 @@ from repro.isomorphism.bruteforce import (
 )
 from repro.isomorphism.dfscode import code_to_graph, is_min, min_code_of_graph
 from repro.isomorphism.matcher import (
+    DEFAULT_MAX_EMB,
     MatchResult,
     contains,
     cover_set,
     iter_embeddings,
+    match_frontier,
     match_stats,
+    prepare_frontier,
 )
-from tests.helpers import random_connected_graph
+from tests.helpers import random_connected_graph, tiny_db
 
 
 class TestBasics:
@@ -143,3 +151,124 @@ class TestExtensions:
         g = make_graph(0, ["C", "C"], [(0, 1)])
         p = min_code_of_graph(make_graph(-1, ["S", "S"], [(0, 1)]))
         assert match_stats(p, g) == MatchResult(0, set(), set(), False)
+
+
+def _assert_frontier_matches(codes, graphs):
+    """``match_frontier`` yields exactly the non-empty (pattern, graph) pairs,
+    each with the ``MatchResult`` that ``match_stats`` gives."""
+    prepared = prepare_frontier(codes)
+    for want_ext in (True, False):
+        for g in graphs:
+            got = list(match_frontier(prepared, g, want_extensions=want_ext))
+            expected = {}
+            for i, code in enumerate(codes):
+                ms = match_stats(code, g, want_extensions=want_ext)
+                if ms.n_embeddings:
+                    expected[i] = ms
+            assert len(got) == len(dict(got))  # each pattern at most once
+            assert dict(got) == expected
+
+
+def _minimal_levels(graphs, e_max):
+    """The whole minimal-code pattern tree of ``graphs``, one frontier per
+    level, grown by rightmost extension as the enumeration grows it."""
+    frontier = sorted({
+        min_code_of_graph(make_graph(-1, [g.vlabels[u], g.vlabels[v]], [(0, 1, el)]))
+        for g in graphs
+        for u, v, el in g.edges
+    })
+    levels = []
+    while frontier:
+        levels.append(frontier)
+        if len(frontier[0]) == e_max:
+            break
+        frontier = sorted({
+            code + (ext,)
+            for code in frontier
+            for g in graphs
+            for ext in match_stats(code, g).extensions
+            if is_min(code + (ext,))
+        })
+    return levels
+
+
+def _clique(n):
+    return make_graph(0, ["C"] * n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+PATH3 = ((0, 1, "C", "-", "C"), (1, 2, "C", "-", "C"), (2, 3, "C", "-", "C"))
+
+
+class TestMatchFrontier:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_minimal_child_frontiers_random(self, seed):
+        graphs = tiny_db(seed, n_graphs=6, edge_labels=["-", "="])
+        for codes in _minimal_levels(graphs, 4):
+            _assert_frontier_matches(codes, graphs)
+
+    def test_minimal_child_frontiers_molecules(self):
+        graphs = molecule_db("emol_lite", 8, seed=3)
+        for codes in _minimal_levels(graphs, 4):
+            _assert_frontier_matches(codes, graphs)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_parent_frontiers(self, seed):
+        """Like IPS's jobs: the children of a few parents, in no canonical
+        order, here also of mixed lengths and including non-minimal codes."""
+        graphs = molecule_db("emol_lite", 6, seed=seed)
+        rng = random.Random(seed)
+        codes = []
+        for level in _minimal_levels(graphs, 3):
+            for parent in rng.sample(level, min(len(level), 5)):
+                exts = set().union(*(match_stats(parent, g).extensions for g in graphs))
+                codes += [parent + (e,) for e in sorted(exts)]
+        rng.shuffle(codes)
+        assert len({c[:-1] for c in codes}) > 1
+        _assert_frontier_matches(codes, graphs)
+
+    def test_child_reaching_cap_matches_from_root(self):
+        """On a single-label 7-clique the 3-edge path has 840 embeddings,
+        under the cap, but the 4-edge path child has 2520, over it."""
+        g = _clique(7)
+        assert len(list(iter_embeddings(PATH3, g))) == 840
+        codes = [PATH3 + (e,) for e in sorted(match_stats(PATH3, g).extensions)]
+        _assert_frontier_matches(codes, [g])
+        path4 = codes.index(PATH3 + ((3, 4, "C", "-", "C"),))
+        ms = dict(match_frontier(prepare_frontier(codes), g))[path4]
+        assert ms.truncated and ms.n_embeddings == DEFAULT_MAX_EMB
+
+    def test_prefix_reaching_cap_matches_from_root(self):
+        """On a single-label 9-clique the 3-edge path itself has 3024
+        embeddings, so every child is matched from the root."""
+        g = _clique(9)
+        assert len(list(islice(iter_embeddings(PATH3, g), DEFAULT_MAX_EMB))) == DEFAULT_MAX_EMB
+        codes = [PATH3 + (e,) for e in sorted(match_stats(PATH3, g).extensions)]
+        _assert_frontier_matches(codes, [g])
+        assert all(ms.truncated for _, ms in match_frontier(prepare_frontier(codes), g))
+
+    def test_cap_keeps_match_stats_embeddings(self):
+        """Which embeddings survive the cap depends on the search order, so
+        capped patterns are matched from the root. A hub N has one C and
+        2001 O neighbours; a second component is C-N-O plus C-S, searched
+        after the hub. C-N-O has 2002 embeddings: ``match_stats`` keeps the
+        2000 that drop the hub's first O, extending C-N in adjacency order
+        would drop its last O instead, so the covers would differ. C-N-O
+        plus C-S embeds only in the second component, which a prefix
+        enumeration stopped at the cap never reaches."""
+        n_o = DEFAULT_MAX_EMB + 1
+        g = make_graph(
+            0,
+            ["C", "N", "O", "S", "C", "N"] + ["O"] * n_o,
+            [(0, 1), (1, 2), (0, 3), (4, 5)] + [(5, 6 + o) for o in range(n_o)],
+        )
+        cno = ((0, 1, "C", "-", "N"), (1, 2, "N", "-", "O"))
+        codes = [cno, cno + ((0, 3, "C", "-", "S"),)]
+        _assert_frontier_matches(codes, [g])
+        got = dict(match_frontier(prepare_frontier(codes), g))
+        assert got[0].truncated and got[1].n_embeddings == 1
+
+    def test_one_edge_frontier(self):
+        tri = make_graph(0, ["C", "C", "N"], [(0, 1), (1, 2), (0, 2)])
+        codes = [((0, 1, "C", "-", "C"),), ((0, 1, "C", "-", "N"),), ((0, 1, "C", "-", "O"),)]
+        _assert_frontier_matches(codes, [tri])
+        assert [i for i, _ in match_frontier(prepare_frontier(codes), tri)] == [0, 1]

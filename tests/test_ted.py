@@ -64,6 +64,11 @@ class TestVariantValidity:
         assert variant_result.index_size_bytes > 0
         assert variant_result.n_enumerated > 0
 
+    def test_enumeration_counters_reported(self, variant_result):
+        """With no support threshold every matched pattern is visited."""
+        assert variant_result.extra["n_matched"] == variant_result.n_enumerated
+        assert variant_result.extra["n_children_nonmin"] > 0
+
 
 class TestApproximationBound:
     @pytest.mark.parametrize("seed", [11, 12, 13])
