@@ -25,9 +25,9 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.maintain import PatternMaintainer
 from repro.core.result import AlgoResult
 from repro.enumeration.distributed import PatternLevelStats, match_level
-from repro.enumeration.gspan import CODE_KEY, enumerate_gspan, level1_codes
+from repro.enumeration.gspan import enumerate_gspan, level1_codes
 from repro.graphdb.spark_io import per_graph_edge_counts
-from repro.isomorphism.dfscode import DFSCode, is_min
+from repro.isomorphism.dfscode import DFSCode, code_key, is_min
 
 VARIANTS = ("base", "prm", "ips", "ted")
 
@@ -56,7 +56,7 @@ def ips_initial_patterns(
     matched = {} if matched is None else matched
     if roots is None:
         roots = level1_codes(edges)
-    root_stats = match_level(spark, edges, roots, want_extensions=True)
+    root_stats = match_level(spark, edges, roots, want_extensions=e_max > 1)
     matched.update((ps.code, ps) for ps in root_stats)
     # chain state: (current stats, done?)
     chains: list[PatternLevelStats] = [ps for ps in root_stats if ps.support > 0]
@@ -75,13 +75,16 @@ def ips_initial_patterns(
         if not cand_codes:
             settled.extend(active)
             break
-        child_stats = match_level(spark, edges, cand_codes, want_extensions=True)
+        child_stats = match_level(
+            spark, edges, cand_codes,
+            want_extensions=any(len(c) < e_max for c in cand_codes),
+        )
         matched.update((cs.code, cs) for cs in child_stats)
         best: dict[int, PatternLevelStats] = {}
         for ci, cs in zip(owners, child_stats):
             cur = best.get(ci)
             if cur is None or cs.coverage > cur.coverage or (
-                cs.coverage == cur.coverage and CODE_KEY(cs.code) < CODE_KEY(cur.code)
+                cs.coverage == cur.coverage and code_key(cs.code) < code_key(cur.code)
             ):
                 best[ci] = cs
         next_active = []
@@ -95,7 +98,7 @@ def ips_initial_patterns(
             else:
                 settled.append(ps)  # no improving child — chain done
         active = next_active
-    settled.sort(key=lambda ps: (-ps.coverage, CODE_KEY(ps.code)))
+    settled.sort(key=lambda ps: (-ps.coverage, code_key(ps.code)))
     picked: list[tuple[DFSCode, frozenset[int]]] = []
     seen: set[DFSCode] = set()
     for ps in settled:

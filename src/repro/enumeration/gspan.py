@@ -13,26 +13,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Callable
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.enumeration.distributed import PatternLevelStats, match_level
-from repro.isomorphism.dfscode import DFSCode, edge_lt, is_min
-
-
-def code_cmp(a: DFSCode, b: DFSCode) -> int:
-    """Total order on DFS codes: entry-wise gSpan order, prefix first."""
-    for x, y in zip(a, b):
-        if x == y:
-            continue
-        return -1 if edge_lt(x, y) else 1
-    return len(a) - len(b)
-
-
-CODE_KEY = cmp_to_key(code_cmp)
+from repro.isomorphism.dfscode import DFSCode, code_key, is_min
 
 
 def level1_codes(edges: DataFrame) -> list[DFSCode]:
@@ -46,7 +33,7 @@ def level1_codes(edges: DataFrame) -> list[DFSCode]:
         .collect()
     )
     codes = [((0, 1, r["a"], r["el"], r["b"]),) for r in rows]
-    return sorted(codes, key=CODE_KEY)
+    return sorted(codes, key=code_key)
 
 
 @dataclass
@@ -90,9 +77,11 @@ def enumerate_gspan(
     surviving pattern's subtree is explored (TED's PRM hook).
 
     ``matched`` maps DFS codes to stats computed earlier by
-    :func:`match_level` over the same edges, with extensions. A frontier
-    code found there is popped and used as is; only the rest go to the level
-    job, and a level with no rest starts no job.
+    :func:`match_level` over the same edges, with extensions for every code
+    shorter than ``e_max``. A frontier code found there is popped and used
+    as is; only the rest go to the level job, and a level with no rest
+    starts no job. A level whose codes have ``e_max`` edges is matched
+    without extensions, since nothing reads them.
 
     ``roots`` is :func:`level1_codes` of ``edges`` when the caller already
     has it; by default the edge table is scanned for it.
@@ -108,13 +97,15 @@ def enumerate_gspan(
         todo = [c for c in frontier if c not in matched]
         level = [matched.pop(c) for c in frontier if c in matched]
         if todo:
-            level += match_level(spark, edges, todo, want_extensions=True)
+            level += match_level(
+                spark, edges, todo, want_extensions=any(len(c) < e_max for c in todo)
+            )
         stats.n_matched += len(level)
         if stats.levels == 1 and min_support_frac > 0:
             n_graphs = len(frozenset().union(*(ps.support_gids for ps in level)))
             threshold = max(1, math.ceil(min_support_frac * n_graphs))
         children: list[DFSCode] = []
-        for ps in sorted(level, key=lambda s: CODE_KEY(s.code)):
+        for ps in sorted(level, key=lambda s: code_key(s.code)):
             if ps.truncated:
                 stats.truncated = True
             if ps.support < threshold:
@@ -134,7 +125,7 @@ def enumerate_gspan(
                     children.append(child)
                 else:
                     stats.n_children_nonmin += 1
-        frontier = sorted(children, key=CODE_KEY)
+        frontier = sorted(children, key=code_key)
         if time_limit_s is not None and time.perf_counter() - t0 > time_limit_s:
             stats.timed_out = True
             break

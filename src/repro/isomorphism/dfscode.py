@@ -13,6 +13,8 @@ ICDM 2002 (paper's [9]).
 """
 from __future__ import annotations
 
+from typing import Iterable, Iterator, Sequence
+
 from repro.graphdb.model import Graph, make_graph
 
 #: One DFS-code entry: (i, j, label_i, edge_label, label_j).
@@ -38,6 +40,20 @@ def edge_lt(a: Edge5, b: Edge5) -> bool:
             return ia < jb
         return ja <= ib  # a forward, b backward
     return a[2:] < b[2:]
+
+
+def _entry_key(e: Edge5) -> tuple:
+    """A sort key for one DFS-code entry whose tuple order is :func:`edge_lt`:
+    ``(j, 0, -i, ...)`` for a forward entry, ``(i, 1, j, ...)`` for a
+    backward one, then the labels."""
+    i, j, li, el, lj = e
+    return (j, 0, -i, li, el, lj) if i < j else (i, 1, j, li, el, lj)
+
+
+def code_key(code: DFSCode) -> tuple:
+    """Sort key for the total order on DFS codes: entry-wise :func:`edge_lt`,
+    a proper prefix before its extensions."""
+    return tuple(map(_entry_key, code))
 
 
 def code_to_graph(code: DFSCode, gid: int = -1) -> Graph:
@@ -72,24 +88,82 @@ def rightmost_path(code: DFSCode) -> list[int]:
     return path
 
 
-def _min_first_entry(g: Graph) -> tuple[Edge5, list[tuple[list[int], dict[int, int], frozenset[int]]]]:
-    """Minimal first code entry over all edge orientations + its embeddings.
+#: An embedding of a code onto the vertices of the graph the code is
+#: searched in: (vmap, inverse of vmap, used edge ids).
+_Emb = tuple[list[int], dict[int, int], frozenset[int]]
+#: ``adj[u]`` = the ``(neighbor, elabel, eid)`` of every edge at ``u``.
+_Adj = Sequence[Sequence[tuple[int, str, int]]]
 
-    An embedding here is ``(vmap, inv, used_eids)`` mapping pattern vertices
-    onto ``g`` itself (the min-code search walks the pattern's own graph).
+
+def _first_entry_states(
+    edges: Iterable[tuple[int, int, str]], vlabels: Sequence[str], labels: tuple[str, str, str]
+) -> list[_Emb]:
+    """Every orientation ``(a, b)`` of an edge (``eid`` = position in
+    ``edges``) whose label triple is ``labels``, as an embedding of the
+    first entry ``(0, 1, *labels)``."""
+    return [
+        ([a, b], {a: 0, b: 1}, frozenset([eid]))
+        for eid, (u, v, el) in enumerate(edges)
+        for a, b in ((u, v), (v, u))
+        if (vlabels[a], el, vlabels[b]) == labels
+    ]
+
+
+def _next_rmpath(rmpath: list[int], e: Edge5) -> list[int]:
+    """The rightmost path after appending entry ``e`` to a code whose
+    rightmost path is ``rmpath``."""
+    i, j = e[0], e[1]
+    return rmpath[: rmpath.index(i) + 1] + [j] if i < j else rmpath
+
+
+def _rightmost_extensions(
+    adj: _Adj, vlabels: Sequence[str], rmpath: list[int], states: list[_Emb]
+) -> Iterator[tuple[Edge5, _Emb, int, int | None]]:
+    """Every rightmost extension of every embedding in ``states`` of a code
+    with rightmost path ``rmpath``, along an edge of the graph
+    ``(adj, vlabels)`` that the embedding does not use yet.
+
+    Yields ``(entry, state, eid, new_vertex)``; ``new_vertex`` is the graph
+    vertex a forward entry discovers and None for a backward entry.
+    :func:`_grow` builds the extended embeddings of the picked ones.
     """
-    best: tuple[str, str, str] | None = None
-    states: list[tuple[list[int], dict[int, int], frozenset[int]]] = []
-    for eid, (u, v, el) in enumerate(g.edges):
-        for a, b in ((u, v), (v, u)):
-            key = (g.vlabels[a], el, g.vlabels[b])
-            if best is None or key < best:
-                best = key
-                states = [([a, b], {a: 0, b: 1}, frozenset([eid]))]
-            elif key == best:
-                states.append(([a, b], {a: 0, b: 1}, frozenset([eid])))
-    assert best is not None, "graph has no edges"
-    return (0, 1, *best), states
+    rmpath_set = set(rmpath)
+    rmv = rmpath[-1]
+    for state in states:
+        vmap, inv, used = state
+        # Backward extensions: rightmost vertex -> earlier rightmost-path vertex.
+        gv = vmap[rmv]
+        for nbr, el, eid in adj[gv]:
+            if eid in used:
+                continue
+            j = inv.get(nbr)
+            if j is None or j not in rmpath_set or j == rmv:
+                continue
+            yield (rmv, j, vlabels[gv], el, vlabels[nbr]), state, eid, None
+        # Forward extensions: any rightmost-path vertex -> new vertex.
+        n_mapped = len(vmap)
+        for pi in rmpath:
+            gv2 = vmap[pi]
+            for nbr, el, eid in adj[gv2]:
+                if eid in used or nbr in inv:
+                    continue
+                yield (pi, n_mapped, vlabels[gv2], el, vlabels[nbr]), state, eid, nbr
+
+
+def _grow(picks: list[tuple[_Emb, int, int | None]]) -> list[_Emb]:
+    """The distinct embeddings the picked ``(state, eid, new_vertex)``
+    extensions lead to (symmetric graphs produce repeats)."""
+    seen: set[tuple[tuple[int, ...], frozenset[int]]] = set()
+    out: list[_Emb] = []
+    for (vmap, inv, used), eid, nbr in picks:
+        if nbr is not None:
+            vmap, inv = vmap + [nbr], {**inv, nbr: len(vmap)}
+        used = used | {eid}
+        key = (tuple(vmap), used)
+        if key not in seen:
+            seen.add(key)
+            out.append((vmap, inv, used))
+    return out
 
 
 def min_code_of_graph(g: Graph) -> DFSCode:
@@ -102,55 +176,25 @@ def min_code_of_graph(g: Graph) -> DFSCode:
     """
     if g.n_edges == 0:
         raise ValueError("DFS codes are defined for graphs with >= 1 edge")
-    first, states = _min_first_entry(g)
-    code: list[Edge5] = [first]
+    first = min(
+        min((g.vlabels[u], el, g.vlabels[v]), (g.vlabels[v], el, g.vlabels[u]))
+        for u, v, el in g.edges
+    )
+    code: list[Edge5] = [(0, 1, *first)]
+    rmpath = [0, 1]
+    states = _first_entry_states(g.edges, g.vlabels, first)
     while len(code) < g.n_edges:
-        rmpath = rightmost_path(tuple(code))
-        rmpath_set = set(rmpath)
-        rmv = rmpath[-1]
-        n_mapped = len(states[0][0])
         best: Edge5 | None = None
-        best_children: list[tuple[list[int], dict[int, int], frozenset[int]]] = []
-        for vmap, inv, used in states:
-            # Backward extensions: rightmost vertex -> earlier rightmost-path vertex.
-            gv = vmap[rmv]
-            for nbr, el, eid in g.adj[gv]:
-                if eid in used:
-                    continue
-                j = inv.get(nbr)
-                if j is None or j not in rmpath_set or j == rmv:
-                    continue
-                t: Edge5 = (rmv, j, g.vlabels[gv], el, g.vlabels[nbr])
-                if best is None or edge_lt(t, best):
-                    best, best_children = t, [(vmap, inv, used | {eid})]
-                elif t == best:
-                    best_children.append((vmap, inv, used | {eid}))
-            # Forward extensions: any rightmost-path vertex -> new vertex.
-            for pi in rmpath:
-                gv2 = vmap[pi]
-                for nbr, el, eid in g.adj[gv2]:
-                    if eid in used or nbr in inv:
-                        continue
-                    t = (pi, n_mapped, g.vlabels[gv2], el, g.vlabels[nbr])
-                    if best is None or edge_lt(t, best):
-                        best = t
-                        best_children = [
-                            (vmap + [nbr], {**inv, nbr: n_mapped}, used | {eid})
-                        ]
-                    elif t == best:
-                        best_children.append(
-                            (vmap + [nbr], {**inv, nbr: n_mapped}, used | {eid})
-                        )
+        picks: list[tuple[_Emb, int, int | None]] = []
+        for t, state, eid, nbr in _rightmost_extensions(g.adj, g.vlabels, rmpath, states):
+            if best is None or edge_lt(t, best):
+                best, picks = t, [(state, eid, nbr)]
+            elif t == best:
+                picks.append((state, eid, nbr))
         assert best is not None, "connected graph must always extend"
         code.append(best)
-        # Dedupe identical embeddings (symmetric graphs produce repeats).
-        seen: set[tuple[tuple[int, ...], frozenset[int]]] = set()
-        states = []
-        for vmap, inv, used in best_children:
-            key = (tuple(vmap), used)
-            if key not in seen:
-                seen.add(key)
-                states.append((vmap, inv, used))
+        rmpath = _next_rmpath(rmpath, best)
+        states = _grow(picks)
     return tuple(code)
 
 
@@ -159,14 +203,39 @@ def is_min(code: DFSCode) -> bool:
 
     The minimal code starts from the smallest edge triple over both
     orientations of every edge, so a code with an entry whose smaller
-    orientation sorts below its first entry's labels is rejected before the
-    full canonicalization (gSpan's cheap pre-check).
+    orientation sorts below its first entry's labels is rejected before any
+    search (gSpan's cheap pre-check). Otherwise the code is regrown on its
+    own graph as in :func:`min_code_of_graph`, keeping only the embeddings
+    that reproduce ``code[:t]``, and rejected at the first step where some
+    rightmost extension sorts below ``code[t]``. The graph is the code's
+    adjacency lists (edge id = position in the code), not a :class:`Graph`,
+    whose construction would cost about as much as the search.
     """
     first = code[0][2:]
     for _, _, li, el, lj in code:
         if min((li, el, lj), (lj, el, li)) < first:
             return False
-    return min_code_of_graph(code_to_graph(code)) == code
+    n = max(max(i, j) for i, j, *_ in code) + 1
+    vlabels = [""] * n
+    adj: list[list[tuple[int, str, int]]] = [[] for _ in range(n)]
+    for eid, (i, j, li, el, lj) in enumerate(code):
+        vlabels[i], vlabels[j] = li, lj
+        adj[i].append((j, el, eid))
+        adj[j].append((i, el, eid))
+    rmpath = [0, 1]
+    states = _first_entry_states([(i, j, el) for i, j, _, el, _ in code], vlabels, first)
+    for target in code[1:]:
+        picks: list[tuple[_Emb, int, int | None]] = []
+        for e, state, eid, nbr in _rightmost_extensions(adj, vlabels, rmpath, states):
+            if e == target:
+                picks.append((state, eid, nbr))
+            elif edge_lt(e, target):
+                return False
+        if not picks:  # not a rightmost-extension code at all
+            return False
+        rmpath = _next_rmpath(rmpath, target)
+        states = _grow(picks)
+    return True
 
 
 def canonical(g: Graph) -> DFSCode:

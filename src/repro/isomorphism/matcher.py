@@ -171,7 +171,7 @@ def match_stats(
 
 
 class FrontierChild(NamedTuple):
-    """One frontier pattern, prepared once on the driver."""
+    """One frontier pattern, prepared once per level task."""
 
     index: int          # position in the frontier
     code: DFSCode

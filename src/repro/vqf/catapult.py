@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.enumeration.gspan import CODE_KEY, enumerate_gspan
-from repro.isomorphism.dfscode import DFSCode, code_to_graph
+from repro.enumeration.gspan import enumerate_gspan
+from repro.isomorphism.dfscode import DFSCode, code_key, code_to_graph
 
 LAMBDA = 2.0  # weight of the redundancy penalty
 
@@ -51,7 +51,7 @@ def catapult_lite(
         if len(ps.code) >= e_min
         else None,
     )
-    cands.sort(key=lambda t: CODE_KEY(t[0]))  # deterministic base order
+    cands.sort(key=lambda t: code_key(t[0]))  # deterministic base order
     triples = {code: code_to_graph(code).edge_triple_set for code, _ in cands}
     selected: list[tuple[DFSCode, int]] = []
     remaining = list(cands)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.enumeration.gspan import CODE_KEY, enumerate_gspan
-from repro.isomorphism.dfscode import DFSCode, code_to_graph
+from repro.enumeration.gspan import enumerate_gspan
+from repro.isomorphism.dfscode import DFSCode, code_key, code_to_graph
 from repro.isomorphism.matcher import contains
 
 
@@ -58,5 +58,5 @@ def top_k_frequent(
         else None,
     )
     maximal = _maximal(found)
-    maximal.sort(key=lambda t: (-t[1], -len(t[0]), CODE_KEY(t[0])))
+    maximal.sort(key=lambda t: (-t[1], -len(t[0]), code_key(t[0])))
     return maximal[:k]

@@ -1,4 +1,6 @@
 """Tests for gSpan DFS-code machinery — cross-checked against brute force."""
+from functools import cmp_to_key
+
 import pytest
 
 from repro.graphdb.model import make_graph
@@ -10,6 +12,7 @@ from repro.isomorphism.bruteforce import (
 )
 from repro.isomorphism.dfscode import (
     canonical,
+    code_key,
     code_to_graph,
     decode,
     edge_lt,
@@ -63,6 +66,47 @@ class TestEdgeOrder:
             for b in tuples:
                 if a != b:
                     assert edge_lt(a, b) != edge_lt(b, a)  # antisymmetric
+
+
+def code_cmp(a, b) -> int:
+    """Reference total order on DFS codes: entry-wise :func:`edge_lt`,
+    a proper prefix first (the oracle for :func:`code_key`)."""
+    for x, y in zip(a, b):
+        if x == y:
+            continue
+        return -1 if edge_lt(x, y) else 1
+    return len(a) - len(b)
+
+
+class TestCodeKey:
+    """``code_key``'s tuple order is the reference order ``code_cmp``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_code_cmp(self, seed):
+        import numpy as np
+
+        # every prefix of every observed child: mixed lengths, shared prefixes
+        codes = sorted({c[:n] for c in _children(seed) for n in range(1, len(c) + 1)})
+        rng = np.random.default_rng(seed)
+        for _ in range(5000):
+            a, b = (codes[int(x)] for x in rng.integers(0, len(codes), 2))
+            ref = code_cmp(a, b)
+            assert (code_key(a) < code_key(b)) == (ref < 0)
+            assert (code_key(a) == code_key(b)) == (ref == 0)
+
+    def test_entry_order_is_edge_lt(self):
+        entries = [
+            (i, j, li, "-", lj)
+            for i in range(4) for j in range(4) if i != j
+            for li in "CN" for lj in "CN"
+        ]
+        for a in entries:
+            for b in entries:
+                assert (code_key((a,)) < code_key((b,))) == edge_lt(a, b)
+
+    def test_sort_matches_reference(self):
+        codes = [c for seed in range(4) for c in _children(seed)]
+        assert sorted(codes, key=code_key) == sorted(codes, key=cmp_to_key(code_cmp))
 
 
 class TestRightmostPath:
@@ -151,9 +195,57 @@ def _children(seed):
     ]
 
 
+def _all_grown_codes(g):
+    """Every code that grows over all of ``g`` by rightmost extensions from
+    any first edge orientation, with the rightmost path recomputed by
+    :func:`rightmost_path` at every step (brute force)."""
+    out = []
+
+    def grow(code, vmap, used):
+        if len(used) == g.n_edges:
+            out.append(tuple(code))
+            return
+        rmpath = rightmost_path(tuple(code))
+        inv = {gv: p for p, gv in enumerate(vmap)}
+        rmv = rmpath[-1]
+        for nbr, el, eid in g.adj[vmap[rmv]]:
+            p = inv.get(nbr)
+            if eid not in used and p is not None and p in rmpath and p != rmv:
+                e = (rmv, p, g.vlabels[vmap[rmv]], el, g.vlabels[nbr])
+                grow(code + [e], vmap, used | {eid})
+        for p in rmpath:
+            for nbr, el, eid in g.adj[vmap[p]]:
+                if eid not in used and nbr not in inv:
+                    e = (p, len(vmap), g.vlabels[vmap[p]], el, g.vlabels[nbr])
+                    grow(code + [e], vmap + [nbr], used | {eid})
+
+    for eid, (u, v, el) in enumerate(g.edges):
+        for a, b in ((u, v), (v, u)):
+            grow([(0, 1, g.vlabels[a], el, g.vlabels[b])], [a, b], {eid})
+    return out
+
+
+class TestMinCodeBruteForce:
+    """The greedy minimal code is the least of every code grown over the
+    graph, and ``is_min`` accepts exactly that one."""
+
+    @pytest.mark.parametrize("labels", [["C"], ["C", "N"]], ids=["one_label", "two_labels"])
+    def test_min_over_all_grown_codes(self, labels):
+        graphs = (
+            random_connected_graph(seed, n_min=4, n_max=6, extra_edge_p=0.25, labels=labels)
+            for seed in range(100)
+        )
+        for g in [g for g in graphs if g.n_edges <= 7][:30]:  # few enough growth orders
+            codes = _all_grown_codes(g)
+            best = min(codes, key=cmp_to_key(code_cmp))
+            assert min_code_of_graph(g) == best
+            assert [c for c in set(codes) if is_min(c)] == [best]
+
+
 class TestIsMinPreCheck:
     """``is_min`` rejects a code whose entry has a smaller label triple than
-    its first entry before running the full canonicalization."""
+    its first entry before any search, and otherwise regrows the code and
+    stops at the first step where a smaller extension exists."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_agrees_with_full_check(self, seed):
@@ -161,15 +253,18 @@ class TestIsMinPreCheck:
             assert is_min(child) == (min_code_of_graph(code_to_graph(child)) == child)
 
     def test_skips_full_check(self, monkeypatch):
-        full_checks = []
-        real = dfscode.min_code_of_graph
-
-        def counted(g):
-            full_checks.append(g)
-            return real(g)
-
-        monkeypatch.setattr(dfscode, "min_code_of_graph", counted)
+        """Some codes are rejected before any search: the search's first
+        step, which embeds the first entry, runs for fewer codes than are
+        checked."""
         children = [c for seed in range(40) for c in _children(seed)]
+        searched = []
+        real = dfscode._first_entry_states
+
+        def counted(*args):
+            searched.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dfscode, "_first_entry_states", counted)
         for child in children:
             is_min(child)
-        assert 0 < len(full_checks) < len(children)
+        assert 0 < len(searched) < len(children)

@@ -1,21 +1,25 @@
 """Distributed enumeration tests: level jobs and gSpan driver vs brute
 force, support thresholds, oracle-checked support aggregation, and results
 that do not depend on how the edge table is partitioned."""
+import dataclasses
+import importlib
 import math
+import os
 
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.baselines import all_g, fsg_g
 from repro.core.ted import ted
 from repro.enumeration.distributed import match_level, match_level_df
-from repro.enumeration.gspan import CODE_KEY, EnumStats, enumerate_gspan, level1_codes
+from repro.enumeration.gspan import EnumStats, enumerate_gspan, level1_codes
 from repro.graphdb.model import edge_key
 from repro.graphdb.spark_io import to_edges_df, to_edges_pandas
 from repro.isomorphism.bruteforce import (
     canonical_form_bruteforce,
     distinct_patterns_bruteforce,
 )
-from repro.isomorphism.dfscode import code_to_graph, min_code_of_graph
+from repro.isomorphism.dfscode import code_key, code_to_graph, min_code_of_graph
 from repro.isomorphism.matcher import match_stats
 from repro.oracle import assert_equivalent
 from tests.helpers import tiny_db
@@ -33,7 +37,7 @@ class TestLevel1Codes:
 
     def test_sorted_canonically(self, tiny_edges):
         codes = level1_codes(tiny_edges)
-        assert codes == sorted(codes, key=CODE_KEY)
+        assert codes == sorted(codes, key=code_key)
 
     def test_triples_against_oracle(self, spark, tiny_mol_db, tiny_edges):
         df = (
@@ -72,6 +76,35 @@ class TestMatchLevel:
         codes = level1_codes(tiny_edges)
         stats = match_level(spark, tiny_edges, codes)
         assert [ps.code for ps in stats] == codes
+
+    def test_without_extensions_same_stats(
+        self, spark, tiny_edges, clique_edges, two_level_codes
+    ):
+        """Skipping the extension walk leaves support, cover and the cap
+        flag as they are; on the 7-clique the 4-edge path hits the cap."""
+        path = [(0, 1, "C", "-", "C"), (1, 2, "C", "-", "C"),
+                (2, 3, "C", "-", "C"), (3, 4, "C", "-", "C")]
+        clique_codes = [tuple(path[:3]), tuple(path)]
+        for edges, codes in ((tiny_edges, two_level_codes), (clique_edges, clique_codes)):
+            full = match_level(spark, edges, codes, want_extensions=True)
+            bare = match_level(spark, edges, codes, want_extensions=False)
+            assert [(ps.code, ps.support_gids, ps.cover, ps.truncated) for ps in bare] == [
+                (ps.code, ps.support_gids, ps.cover, ps.truncated) for ps in full
+            ]
+            assert any(ps.extensions for ps in full)
+            assert not any(ps.extensions for ps in bare)
+        assert [ps.truncated for ps in bare] == [False, True]
+
+    def test_frees_broadcasts(self, spark, tiny_edges):
+        """Each level's broadcast file leaves the session's temporary
+        directory once the level's rows are collected."""
+        tmp = spark.sparkContext._temp_dir
+        codes = level1_codes(tiny_edges)
+        match_level(spark, tiny_edges, codes)
+        before = sorted(os.listdir(tmp))
+        for _ in range(3):
+            match_level(spark, tiny_edges, codes)
+        assert sorted(os.listdir(tmp)) == before
 
     def test_level_df_schema(self, spark, tiny_edges):
         codes = level1_codes(tiny_edges)[:2]
@@ -220,3 +253,33 @@ class TestControls:
         s1 = enumerate_gspan(spark, tiny_edges, e_max=3)
         s2 = enumerate_gspan(spark, tiny_edges, e_max=3, extend_filter=lambda ps: len(ps.code) < 1)
         assert s2.n_visited < s1.n_visited and s2.n_pruned_filter > 0
+
+
+ALGOS = {
+    "all_g": all_g,
+    "fsg_g": fsg_g,
+    "ted": lambda spark, edges, **kw: ted(spark, edges, variant="ted", **kw),
+}
+
+
+@pytest.mark.parametrize("e_max", [2, 3, 4, 5])
+@pytest.mark.parametrize("algo", list(ALGOS))
+def test_no_extensions_at_e_max_changes_nothing(spark, tiny_edges, monkeypatch, algo, e_max):
+    """Levels whose codes have ``e_max`` edges are matched without
+    extensions; answers and counters equal a run that asks for them
+    everywhere."""
+    run = ALGOS[algo]
+    r = run(spark, tiny_edges, k=3, e_max=e_max)
+    asked = []
+    for name in ("repro.core.ted", "repro.enumeration.gspan"):
+        mod = importlib.import_module(name)
+
+        def forced(spark, edges, codes, *, want_extensions, _real=mod.match_level):
+            asked.append((len(codes[0]), want_extensions))
+            return _real(spark, edges, codes, want_extensions=True)
+
+        monkeypatch.setattr(mod, "match_level", forced)
+    ref = run(spark, tiny_edges, k=3, e_max=e_max)
+    assert set(asked) == {(n, n < e_max) for n in range(1, e_max + 1)}
+    untimed = {"elapsed_s": 0.0, "index_time_s": 0.0}
+    assert dataclasses.replace(r, **untimed) == dataclasses.replace(ref, **untimed)
