@@ -26,11 +26,16 @@ NODE_BUCKETS = ((0, 20), (20, 50), (50, 1000))
 
 
 def run_scale(spark, sizes=SIZES) -> list[dict]:
+    """Figure 11: every method on aids_lite databases of ``sizes`` graphs.
+    One untimed call on the first database comes first, so no timed row
+    pays for starting the session's Python workers."""
     rows = []
     for n in sizes:
         db = molecule_db("aids_lite", n, seed=0)
         edges = to_edges_df(spark, db).cache()
         edges.count()
+        if n == sizes[0]:
+            METHODS[0](spark, edges, k=K, e_max=E_MAX, time_limit_s=TIME_LIMIT)
         for m in METHODS:
             rows.append({"|D|": n, **m(spark, edges, k=K, e_max=E_MAX, time_limit_s=TIME_LIMIT).row()})
         edges.unpersist()

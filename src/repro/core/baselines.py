@@ -6,6 +6,16 @@ criticizes; ``stored_candidate_bytes`` surfaces it. The ``_g`` variants run
 greedy MaxCover (Algorithm 1), the ``_t`` variants stream the materialized
 candidates through the same swap-based maintenance TED uses. ``opt_exact``
 solves max-k-cover optimally (Figure 13's OPT) — small databases only.
+
+Where S is mined depends on the support threshold. ALL_g, ALL_t and OPT
+keep every pattern with support >= 1, so one Spark job mines the whole
+pattern tree: each task runs the level loop over its own graphs
+(:func:`repro.enumeration.distributed.mine_df`), and the driver merges the
+covers per pattern and orders S as the driver loop streams it. FSG's
+threshold needs database-wide support between levels, so FSG keeps the
+driver loop (:func:`repro.enumeration.gspan.enumerate_gspan`), one job per
+level. The tracer sees no level job of the tree job, so ALL_g, ALL_t and
+OPT report its phases and per-task counters in ``AlgoResult.extra``.
 """
 from __future__ import annotations
 
@@ -15,11 +25,72 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.maintain import PatternMaintainer
 from repro.core.result import AlgoResult
+from repro.enumeration.distributed import TASK_COUNTERS, mine_df
 from repro.enumeration.gspan import EnumStats, enumerate_gspan
 from repro.graphdb.spark_io import per_graph_edge_counts
-from repro.isomorphism.dfscode import DFSCode
+from repro.isomorphism.dfscode import DFSCode, code_key, decode
 from repro.maxcover.exact import exact_max_cover
 from repro.maxcover.greedy import greedy_max_cover
+
+
+def _mine_tree(
+    spark: SparkSession, edges: DataFrame, *, e_max: int, time_limit_s: float | None
+) -> tuple[dict[DFSCode, frozenset[int]], EnumStats, dict]:
+    """S from the tree job: each pattern's cover merged over the tasks, in
+    stream order ``(len(code), code_key(code))``. The counters are summed
+    over tasks (``levels`` and ``peak_frontier`` are maxima); ``n_matched``
+    counts (pattern, task) pairs and ``n_children_nonmin`` repeats a
+    rejection in every task whose graphs hold the parent. The report holds
+    the job and merge times and one counter dict per non-empty task."""
+    t0 = time.perf_counter()
+    pdf = mine_df(spark, edges, e_max=e_max, time_limit_s=time_limit_s).toPandas()
+    t1 = time.perf_counter()
+    covers: dict[str, list[int]] = {}
+    tasks: list[dict] = []
+    for code, covered, task in zip(pdf["code"], pdf["covered"], pdf["task"]):
+        if code is None:
+            tasks.append({k: round(task[k], 4) if k == "task_s" else int(task[k])
+                          for k in TASK_COUNTERS})
+        else:
+            covers.setdefault(code, []).extend(covered.tolist())
+    order = sorted(((decode(s), s) for s in covers), key=lambda t: (len(t[0]), code_key(t[0])))
+    sets = {code: frozenset(covers[s]) for code, s in order}
+    stats = EnumStats(
+        n_matched=sum(t["patterns"] for t in tasks),
+        n_visited=len(sets),
+        n_children_nonmin=sum(t["n_children_nonmin"] for t in tasks),
+        n_is_min=sum(t["is_min_calls"] for t in tasks),
+        levels=max((t["levels"] for t in tasks), default=0),
+        timed_out=any(t["timed_out"] for t in tasks),
+        truncated=bool(pdf["truncated"].any()),
+        peak_frontier=max((t["peak_frontier"] for t in tasks), default=0),
+    )
+    report = {"mining_s": t1 - t0, "merge_s": time.perf_counter() - t1, "partitions": tasks}
+    return sets, stats, report
+
+
+def _cover_sets(
+    spark: SparkSession,
+    edges: DataFrame,
+    *,
+    e_max: int,
+    min_support_frac: float,
+    time_limit_s: float | None,
+) -> tuple[dict[DFSCode, frozenset[int]], EnumStats, dict | None]:
+    """:func:`enumerate_cover_sets` plus the tree job's report (None for
+    the driver loop, whose level jobs the tracer sees)."""
+    if min_support_frac == 0:
+        return _mine_tree(spark, edges, e_max=e_max, time_limit_s=time_limit_s)
+    sets: dict[DFSCode, frozenset[int]] = {}
+    stats = enumerate_gspan(
+        spark,
+        edges,
+        e_max=e_max,
+        min_support_frac=min_support_frac,
+        visitor=lambda ps: sets.__setitem__(ps.code, ps.cover),
+        time_limit_s=time_limit_s,
+    )
+    return sets, stats, None
 
 
 def enumerate_cover_sets(
@@ -33,15 +104,10 @@ def enumerate_cover_sets(
     """Materialize S (Algorithm 1 line 1 / Algorithm 2 line 1): every
     enumerated pattern's cover set, in DFS-code stream order. Returns
     ``(sets, stats)``; ``stats`` says whether the enumeration timed out or
-    hit the embedding cap."""
-    sets: dict[DFSCode, frozenset[int]] = {}
-
-    stats = enumerate_gspan(
-        spark,
-        edges,
-        e_max=e_max,
-        min_support_frac=min_support_frac,
-        visitor=lambda ps: sets.__setitem__(ps.code, ps.cover),
+    hit the embedding cap. With ``min_support_frac == 0`` S is mined by the
+    tree job, else by the driver loop (see the module docstring)."""
+    sets, stats, _ = _cover_sets(
+        spark, edges, e_max=e_max, min_support_frac=min_support_frac,
         time_limit_s=time_limit_s,
     )
     return sets, stats
@@ -67,13 +133,15 @@ def _run_materialized(
 ) -> AlgoResult:
     t0 = time.perf_counter()
     total_edges = sum(per_graph_edge_counts(edges).values())
-    sets, enum_stats = enumerate_cover_sets(
+    t_scan = time.perf_counter()
+    sets, enum_stats, report = _cover_sets(
         spark,
         edges,
         e_max=e_max,
         min_support_frac=min_support_frac,
         time_limit_s=time_limit_s,
     )
+    t_select = time.perf_counter()
     index_time = 0.0
     index_bytes = 0
     n_swaps = 0
@@ -94,12 +162,30 @@ def _run_materialized(
         n_swaps = maintainer.stats.n_swaps
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
+    t_end = time.perf_counter()
+    extra = {
+        "k": k,
+        "e_max": e_max,
+        "sup_min": min_support_frac,
+        # From the tree job both sum over tasks (see _mine_tree): patterns
+        # matched per task, and non-minimal children rejected per task.
+        "n_matched": enum_stats.n_matched,
+        "n_children_nonmin": enum_stats.n_children_nonmin,
+    }
+    if report is not None:
+        extra["phases"] = {
+            "scan_s": t_scan - t0,
+            "mining_s": report["mining_s"],
+            "merge_s": report["merge_s"],
+            "selection_s": t_end - t_select,
+        }
+        extra["partitions"] = report["partitions"]
     return AlgoResult(
         name=name,
         patterns=list(chosen),
         coverage=len(covered),
         total_edges=total_edges,
-        elapsed_s=time.perf_counter() - t0,
+        elapsed_s=t_end - t0,
         timed_out=enum_stats.timed_out,
         truncated=enum_stats.truncated,
         index_time_s=index_time,
@@ -107,13 +193,7 @@ def _run_materialized(
         n_enumerated=len(sets),
         n_swaps=n_swaps,
         stored_candidate_bytes=_candidate_bytes(sets),
-        extra={
-            "k": k,
-            "e_max": e_max,
-            "sup_min": min_support_frac,
-            "n_matched": enum_stats.n_matched,
-            "n_children_nonmin": enum_stats.n_children_nonmin,
-        },
+        extra=extra,
     )
 
 

@@ -1,13 +1,18 @@
-"""One enumeration level as a distributed Spark scan/aggregate job.
+"""Spark jobs over the graph-partitioned edge table: one enumeration level
+(:func:`match_level`), or a whole pattern tree (:func:`mine_df`).
 
-The frontier (a list of DFS codes) is broadcast as the bare codes; the edge
-table is hashed on ``graph_id`` into ``defaultParallelism`` partitions, so
-every graph lies in exactly one partition, and each partition is one
-``mapInPandas`` task. The task groups the frontier by DFS-code prefix
+Both jobs hash the edge table on ``graph_id`` into ``defaultParallelism``
+partitions, so every graph lies in exactly one partition, and run one
+``mapInPandas`` task per partition. Each task shares one prologue
+(:func:`_partition_graphs`): it concatenates its partition's Arrow batches
+and rebuilds those graphs once. A partition with no rows emits nothing.
+
+**The level job.** The frontier (a list of DFS codes) is broadcast as the
+bare codes. Each task groups the frontier by DFS-code prefix
 (``code[:-1]``, the pattern's parent under rightmost extension) with
-:func:`repro.isomorphism.matcher.prepare_frontier`, rebuilds its partition's
-graphs once and matches the frontier against each of them with
-:func:`repro.isomorphism.matcher.match_frontier`: per graph, each
+:func:`repro.isomorphism.matcher.prepare_frontier` and matches it against
+each of its graphs with :func:`repro.isomorphism.matcher.match_frontier`:
+per graph, each
 prefix's embeddings are enumerated once, the children of a prefix with no
 embedding are skipped, and every other child's embeddings are the prefix
 embeddings extended by its last entry (gSpan's projection). 1-edge patterns
@@ -32,6 +37,24 @@ swapping stream). :func:`match_level` owns the level's broadcast and
 destroys it once the rows are collected, so its file in the session's
 temporary directory does not outlive the level.
 
+**The tree job.** :func:`mine_df` runs the whole level loop in each task:
+:func:`repro.enumeration.gspan.mine_graphs`, which matches each level over
+the task's graphs with :func:`match_graphs` (the level task's matching,
+folded in-process) and grows children from them. Nothing crosses between
+tasks or reaches the driver until the loop is done, so it serves the
+enumerations that keep every pattern with support >= 1: ALL_g, ALL_t and
+OPT. Each task emits one row per pattern that occurs in its graphs, and
+one summary row:
+
+    (code: string, covered: array<long>, truncated: boolean,
+     task: map<string, double>)
+
+``code`` is :func:`repro.isomorphism.dfscode.encode` of the pattern and
+null on the summary row; ``covered`` is the pattern's cover over the
+task's graphs as global edge keys; ``task`` is null on pattern rows and
+holds the task's counters on the summary row (see :data:`TASK_COUNTERS`).
+Covers are disjoint across partitions, so the driver merges them by union.
+
 The partition count is ``defaultParallelism`` (one task per core), not more.
 Each Python task has a fixed cost. It used to be 0.1-0.3 s, because PySpark's
 worker calls ``importlib.invalidate_caches()`` before every task and each
@@ -47,8 +70,9 @@ this small table into a single task.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import pandas as pd
 from pyspark import Broadcast
@@ -56,15 +80,17 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import (
     ArrayType,
     BooleanType,
+    DoubleType,
     LongType,
+    MapType,
     StringType,
     StructField,
     StructType,
 )
 
-from repro.graphdb.model import edge_key
+from repro.graphdb.model import Graph, edge_key
 from repro.graphdb.spark_io import graphs_from_pandas
-from repro.isomorphism.dfscode import DFSCode, Edge5
+from repro.isomorphism.dfscode import DFSCode, Edge5, encode
 from repro.isomorphism.matcher import match_frontier, prepare_frontier
 
 LEVEL_SCHEMA = StructType(
@@ -75,6 +101,28 @@ LEVEL_SCHEMA = StructType(
         StructField("exts", ArrayType(StringType(), False), False),
         StructField("truncated", BooleanType(), False),
     ]
+)
+
+MINE_SCHEMA = StructType(
+    [
+        StructField("code", StringType(), True),
+        StructField("covered", ArrayType(LongType(), False), False),
+        StructField("truncated", BooleanType(), False),
+        StructField("task", MapType(StringType(), DoubleType(), False), True),
+    ]
+)
+
+#: Keys of a tree-job task's summary row, in report order.
+TASK_COUNTERS = (
+    "graphs",              # graphs in the partition
+    "patterns",            # pattern rows emitted
+    "levels",              # levels the loop ran
+    "is_min_calls",        # extensions checked by ``is_min``
+    "n_children_nonmin",   # of which rejected as non-minimal
+    "peak_frontier",
+    "truncated",           # 1 if a (pattern, graph) hit the embedding cap
+    "timed_out",           # 1 if the loop stopped at the time limit
+    "task_s",              # the loop's wall time in the task
 )
 
 
@@ -106,6 +154,61 @@ def _decode_ext(s: str) -> Edge5:
     return (int(i), int(j), li, el, lj)
 
 
+def _by_graph(spark: SparkSession, edges: DataFrame) -> DataFrame:
+    """The edge table hashed on ``graph_id`` into one partition per core."""
+    return edges.repartition(spark.sparkContext.defaultParallelism, "graph_id")
+
+
+def _partition_graphs(batches: Iterator[pd.DataFrame]) -> list[Graph]:
+    """The task prologue: every graph of one partition, rebuilt once. A
+    graph never leaves its partition but may be split across batches."""
+    parts = list(batches)
+    return graphs_from_pandas(pd.concat(parts, ignore_index=True)) if parts else []
+
+
+def _fold(
+    codes: list[DFSCode],
+    rows: Iterable[tuple[int, int, Iterable[int], Iterable[Edge5], bool]],
+) -> list[PatternLevelStats]:
+    """Fold ``(pattern index, graph id, covered edge keys, extensions,
+    truncated)`` rows into one :class:`PatternLevelStats` per code, in
+    input order (patterns with no row get empty aggregates)."""
+    supports: list[set[int]] = [set() for _ in codes]
+    covers: list[set[int]] = [set() for _ in codes]
+    exts: list[set[Edge5]] = [set() for _ in codes]
+    trunc = [False] * len(codes)
+    for pid, gid, covered, extensions, truncated in rows:
+        supports[pid].add(gid)
+        covers[pid].update(covered)
+        exts[pid].update(extensions)
+        trunc[pid] = trunc[pid] or truncated
+    return [
+        PatternLevelStats(
+            code=codes[i],
+            support_gids=frozenset(supports[i]),
+            cover=frozenset(covers[i]),
+            extensions=frozenset(exts[i]),
+            truncated=trunc[i],
+        )
+        for i in range(len(codes))
+    ]
+
+
+def match_graphs(
+    graphs: list[Graph], codes: list[DFSCode], *, want_extensions: bool = True
+) -> list[PatternLevelStats]:
+    """One level matched over graphs held in this process: what
+    :func:`match_level` returns for a database of these graphs, with no
+    Spark job. The frontier is prepared once (:func:`prepare_frontier`) and
+    matched against each graph with :func:`match_frontier`."""
+    prepared = prepare_frontier(codes)
+    return _fold(codes, (
+        (pid, g.gid, [edge_key(g.gid, e) for e in ms.covered_eids], ms.extensions, ms.truncated)
+        for g in graphs
+        for pid, ms in match_frontier(prepared, g, want_extensions=want_extensions)
+    ))
+
+
 def match_level_df(
     spark: SparkSession,
     edges: DataFrame,
@@ -118,26 +221,22 @@ def match_level_df(
     ``codes`` is the frontier, or a Spark broadcast of it that the caller
     destroys after collecting the rows; a plain list is broadcast here and
     the broadcast lives as long as the session. The bare codes are shipped
-    once per executor. The edges are hash-partitioned on ``graph_id`` into
-    ``defaultParallelism`` partitions; each ``mapInPandas`` task
-    concatenates all Arrow batches of its partition (a graph never leaves
-    its partition but may be split across batches), prepares the frontier
-    once (:func:`prepare_frontier`: grouped by prefix, each code and prefix
-    materialized as a pattern graph), rebuilds the graphs once and matches
-    the whole frontier against each. A partition with no rows emits
-    nothing.
+    once per executor. Each task prepares the frontier once
+    (:func:`prepare_frontier`: grouped by prefix, each code and prefix
+    materialized as a pattern graph) and matches the whole frontier against
+    each graph of its partition.
     """
     bc = codes if isinstance(codes, Broadcast) else spark.sparkContext.broadcast(codes)
     want_ext = want_extensions
     columns = [f.name for f in LEVEL_SCHEMA.fields]
 
     def run_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        parts = list(batches)
-        if not parts:
+        graphs = _partition_graphs(batches)
+        if not graphs:
             return
         prepared = prepare_frontier(bc.value)
         rows = []
-        for g in graphs_from_pandas(pd.concat(parts, ignore_index=True)):
+        for g in graphs:
             for pid, ms in match_frontier(prepared, g, want_extensions=want_ext):
                 rows.append(
                     (
@@ -151,8 +250,7 @@ def match_level_df(
         if rows:
             yield pd.DataFrame(rows, columns=columns)
 
-    n_parts = spark.sparkContext.defaultParallelism
-    return edges.repartition(n_parts, "graph_id").mapInPandas(run_partition, LEVEL_SCHEMA)
+    return _by_graph(spark, edges).mapInPandas(run_partition, LEVEL_SCHEMA)
 
 
 def match_level(
@@ -173,33 +271,54 @@ def match_level(
         pdf = match_level_df(spark, edges, bc, want_extensions=want_extensions).toPandas()
     finally:
         bc.destroy()
-    supports: list[set[int]] = [set() for _ in codes]
-    covers: list[set[int]] = [set() for _ in codes]
-    exts: list[set[Edge5]] = [set() for _ in codes]
-    trunc = [False] * len(codes)
     decoded: dict[str, Edge5] = {}  # each distinct extension string is parsed once
-    for pid, gid, covered, ext_strs, truncated in zip(
-        pdf["pattern_id"].tolist(),
-        pdf["graph_id"].tolist(),
-        pdf["covered"],
-        pdf["exts"],
-        pdf["truncated"].tolist(),
-    ):
-        supports[pid].add(gid)
-        covers[pid].update(covered.tolist())
-        for s in ext_strs:
-            e = decoded.get(s)
-            if e is None:
-                e = decoded[s] = _decode_ext(s)
-            exts[pid].add(e)
-        trunc[pid] = trunc[pid] or truncated
-    return [
-        PatternLevelStats(
-            code=codes[i],
-            support_gids=frozenset(supports[i]),
-            cover=frozenset(covers[i]),
-            extensions=frozenset(exts[i]),
-            truncated=trunc[i],
+
+    def ext(s: str) -> Edge5:
+        e = decoded.get(s)
+        if e is None:
+            e = decoded[s] = _decode_ext(s)
+        return e
+
+    return _fold(codes, (
+        (pid, gid, covered.tolist(), map(ext, ext_strs), truncated)
+        for pid, gid, covered, ext_strs, truncated in zip(
+            pdf["pattern_id"].tolist(),
+            pdf["graph_id"].tolist(),
+            pdf["covered"],
+            pdf["exts"],
+            pdf["truncated"].tolist(),
         )
-        for i in range(len(codes))
-    ]
+    ))
+
+
+def mine_df(
+    spark: SparkSession,
+    edges: DataFrame,
+    *,
+    e_max: int,
+    time_limit_s: float | None = None,
+) -> DataFrame:
+    """The tree job as a lazy DataFrame (schema :data:`MINE_SCHEMA`): each
+    task runs :func:`repro.enumeration.gspan.mine_graphs` over its graphs
+    and emits one row per pattern found, then its summary row. Each task
+    stops between its own levels once ``time_limit_s`` has passed since
+    the task started."""
+    columns = [f.name for f in MINE_SCHEMA.fields]
+
+    def run_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        from repro.enumeration.gspan import mine_graphs  # gspan imports this module
+
+        graphs = _partition_graphs(batches)
+        if not graphs:
+            return
+        t0 = time.perf_counter()
+        found, st = mine_graphs(graphs, e_max=e_max, time_limit_s=time_limit_s)
+        rows: list[tuple] = [
+            (encode(ps.code), sorted(ps.cover), ps.truncated, None) for ps in found
+        ]
+        counters = (len(graphs), len(found), st.levels, st.n_is_min, st.n_children_nonmin,
+                    st.peak_frontier, st.truncated, st.timed_out, time.perf_counter() - t0)
+        rows.append((None, [], st.truncated, dict(zip(TASK_COUNTERS, map(float, counters)))))
+        yield pd.DataFrame(rows, columns=columns)
+
+    return _by_graph(spark, edges).mapInPandas(run_partition, MINE_SCHEMA)

@@ -1,12 +1,23 @@
-"""Level-synchronous gSpan enumeration driver.
+"""Level-synchronous gSpan enumeration: one level loop, two places to run it.
 
-Each DFS level is one Spark job (:func:`repro.enumeration.distributed
-.match_level`); the driver streams the level's surviving patterns — in
-canonical DFS-code order — to a visitor callback (TED's PatternMaintain, or
-a baseline's accumulator), then grows the next frontier by rightmost
+:func:`level_loop` streams each level's surviving patterns — in canonical
+DFS-code order — to a visitor callback (TED's PatternMaintain, or a
+baseline's accumulator), then grows the next frontier by rightmost
 extension, keeping only minimal codes (each isomorphism class enumerated
 exactly once) and applying support pruning (frequent-subgraph mining) and an
-optional ``extend_filter`` (TED's PRM rules).
+optional ``extend_filter`` (TED's PRM rules). How a level is matched is its
+parameter:
+
+- :func:`enumerate_gspan` runs the loop on the driver, and each level is one
+  Spark job over the whole database
+  (:func:`repro.enumeration.distributed.match_level`). TED and FSG use it:
+  PRM needs the global pattern set P, and FSG's threshold needs
+  database-wide support, between every two levels.
+- :func:`mine_graphs` runs the loop over the graphs one process holds,
+  matching each level with :func:`repro.enumeration.distributed
+  .match_graphs`. With no threshold and no filter, no decision waits for the
+  rest of the database, so the materializing baselines run it inside the
+  tasks of one Spark job (:func:`repro.enumeration.distributed.mine_df`).
 """
 from __future__ import annotations
 
@@ -18,8 +29,13 @@ from typing import Callable
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.enumeration.distributed import PatternLevelStats, match_level
+from repro.enumeration.distributed import PatternLevelStats, match_graphs, match_level
+from repro.graphdb.model import Graph
 from repro.isomorphism.dfscode import DFSCode, code_key, is_min
+
+#: Matches one level: ``(codes, want_extensions)`` -> one
+#: :class:`PatternLevelStats` per code, in input order.
+LevelMatcher = Callable[[list[DFSCode], bool], list[PatternLevelStats]]
 
 
 def level1_codes(edges: DataFrame) -> list[DFSCode]:
@@ -45,25 +61,26 @@ class EnumStats:
     n_pruned_support: int = 0   # dropped by the support threshold
     n_pruned_filter: int = 0    # subtrees cut by extend_filter (PRM)
     n_children_nonmin: int = 0  # extensions discarded by the minimality check
+    n_is_min: int = 0           # extensions checked by ``is_min``
     levels: int = 0
     timed_out: bool = False
     truncated: bool = False     # any (pattern, graph) hit the embedding cap
     peak_frontier: int = 0
 
 
-def enumerate_gspan(
-    spark: SparkSession,
-    edges: DataFrame,
+def level_loop(
+    frontier: list[DFSCode],
+    match: LevelMatcher,
     *,
     e_max: int,
     min_support_frac: float = 0.0,
     visitor: Callable[[PatternLevelStats], None] | None = None,
     extend_filter: Callable[[PatternLevelStats], bool] | None = None,
-    time_limit_s: float | None = None,
+    deadline: float | None = None,
     matched: dict[DFSCode, PatternLevelStats] | None = None,
-    roots: list[DFSCode] | None = None,
 ) -> EnumStats:
-    """Enumerate all (or all frequent) patterns with ``|E| <= e_max``.
+    """Enumerate the patterns with ``|E| <= e_max`` that grow from the
+    1-edge codes ``frontier``, matching each level with ``match``.
 
     ``min_support_frac`` is the paper's ``sup_min``: patterns occurring in
     fewer than ``ceil(frac * |D|)`` graphs are dropped *and* their subtrees
@@ -74,32 +91,27 @@ def enumerate_gspan(
 
     ``visitor`` sees each surviving pattern exactly once, in canonical
     DFS-code order within each level. ``extend_filter`` decides whether a
-    surviving pattern's subtree is explored (TED's PRM hook).
+    surviving pattern's subtree is explored (TED's PRM hook). Once
+    ``time.perf_counter()`` passes ``deadline`` the loop stops before the
+    next level, with ``timed_out`` set.
 
-    ``matched`` maps DFS codes to stats computed earlier by
-    :func:`match_level` over the same edges, with extensions for every code
-    shorter than ``e_max``. A frontier code found there is popped and used
-    as is; only the rest go to the level job, and a level with no rest
-    starts no job. A level whose codes have ``e_max`` edges is matched
-    without extensions, since nothing reads them.
-
-    ``roots`` is :func:`level1_codes` of ``edges`` when the caller already
-    has it; by default the edge table is scanned for it.
+    ``matched`` maps DFS codes to stats computed earlier over the same
+    database, with extensions for every code shorter than ``e_max``. A
+    frontier code found there is popped and used as is; only the rest go to
+    ``match``, and a level with no rest does not call it. A level whose
+    codes have ``e_max`` edges is matched without extensions, since nothing
+    reads them.
     """
     threshold = 1
     matched = {} if matched is None else matched
-    t0 = time.perf_counter()
     stats = EnumStats()
-    frontier = level1_codes(edges) if roots is None else roots
     while frontier:
         stats.levels += 1
         stats.peak_frontier = max(stats.peak_frontier, len(frontier))
         todo = [c for c in frontier if c not in matched]
         level = [matched.pop(c) for c in frontier if c in matched]
         if todo:
-            level += match_level(
-                spark, edges, todo, want_extensions=any(len(c) < e_max for c in todo)
-            )
+            level += match(todo, any(len(c) < e_max for c in todo))
         stats.n_matched += len(level)
         if stats.levels == 1 and min_support_frac > 0:
             n_graphs = len(frozenset().union(*(ps.support_gids for ps in level)))
@@ -119,6 +131,7 @@ def enumerate_gspan(
             if extend_filter is not None and not extend_filter(ps):
                 stats.n_pruned_filter += 1
                 continue
+            stats.n_is_min += len(ps.extensions)
             for ext in ps.extensions:
                 child = ps.code + (ext,)
                 if is_min(child):
@@ -126,7 +139,75 @@ def enumerate_gspan(
                 else:
                     stats.n_children_nonmin += 1
         frontier = sorted(children, key=code_key)
-        if time_limit_s is not None and time.perf_counter() - t0 > time_limit_s:
+        if deadline is not None and time.perf_counter() > deadline:
             stats.timed_out = True
             break
     return stats
+
+
+def enumerate_gspan(
+    spark: SparkSession,
+    edges: DataFrame,
+    *,
+    e_max: int,
+    min_support_frac: float = 0.0,
+    visitor: Callable[[PatternLevelStats], None] | None = None,
+    extend_filter: Callable[[PatternLevelStats], bool] | None = None,
+    time_limit_s: float | None = None,
+    matched: dict[DFSCode, PatternLevelStats] | None = None,
+    roots: list[DFSCode] | None = None,
+) -> EnumStats:
+    """Enumerate all (or all frequent) patterns with ``|E| <= e_max`` in the
+    database ``edges``: :func:`level_loop` on the driver, one
+    :func:`match_level` job per level.
+
+    ``time_limit_s`` is counted from this call and checked between levels.
+    ``matched`` (see :func:`level_loop`) holds stats computed earlier by
+    :func:`match_level` over the same edges. ``roots`` is
+    :func:`level1_codes` of ``edges`` when the caller already has it; by
+    default the edge table is scanned for it.
+    """
+    deadline = None if time_limit_s is None else time.perf_counter() + time_limit_s
+    return level_loop(
+        level1_codes(edges) if roots is None else roots,
+        lambda codes, want: match_level(spark, edges, codes, want_extensions=want),
+        e_max=e_max,
+        min_support_frac=min_support_frac,
+        visitor=visitor,
+        extend_filter=extend_filter,
+        deadline=deadline,
+        matched=matched,
+    )
+
+
+def mine_graphs(
+    graphs: list[Graph], *, e_max: int, time_limit_s: float | None = None
+) -> tuple[list[PatternLevelStats], EnumStats]:
+    """Every pattern with ``|E| <= e_max`` and an embedding in ``graphs``,
+    in stream order (by size, then canonical DFS-code order), with its cover
+    and support over these graphs: :func:`level_loop` with
+    :func:`match_graphs` as the level matcher and these graphs' own 1-edge
+    codes as roots.
+
+    Each prefix of a minimal DFS code is a connected subgraph of the
+    pattern, so it occurs wherever the pattern does, and the loop reaches
+    every pattern that occurs here. Split the database into parts and run
+    this on each: when no (pattern, graph) pair hits the embedding cap,
+    the patterns found, with their covers and supports united over the
+    parts, are exactly what :func:`enumerate_gspan` streams with
+    ``min_support_frac=0``. A capped prefix may hide extensions, and
+    ``truncated`` then says so.
+    ``time_limit_s`` is counted from this call and checked between levels.
+    """
+    deadline = None if time_limit_s is None else time.perf_counter() + time_limit_s
+    triples = {(g.vlabels[u], el, g.vlabels[v]) for g in graphs for u, v, el in g.edges}
+    roots = sorted({((0, 1, min(a, b), el, max(a, b)),) for a, el, b in triples}, key=code_key)
+    found: list[PatternLevelStats] = []
+    stats = level_loop(
+        roots,
+        lambda codes, want: match_graphs(graphs, codes, want_extensions=want),
+        e_max=e_max,
+        visitor=found.append,
+        deadline=deadline,
+    )
+    return found, stats

@@ -9,8 +9,11 @@ from repro.core.baselines import (
     fsg_t,
     opt_exact,
 )
+from repro.core.maintain import PatternMaintainer
+from repro.enumeration.gspan import enumerate_gspan
 from repro.graphdb.model import edge_key
 from repro.isomorphism.bruteforce import distinct_patterns_bruteforce
+from repro.maxcover.exact import exact_max_cover
 from repro.maxcover.greedy import greedy_max_cover
 
 K, E_MAX = 3, 3
@@ -83,15 +86,47 @@ class TestAlgorithms:
         assert r.timed_out and r.row()["time_s"] == "INF"
 
     def test_reports_enumeration_counters(self, spark, tiny_edges):
+        """ALL_g's counters come from the tasks of its one mining job and
+        sum over them: ``n_matched`` counts (pattern, task) pairs, and a
+        non-minimal child is rejected in every task whose graphs hold its
+        parent, so ``n_children_nonmin`` is at least the driver loop's."""
         r = all_g(spark, tiny_edges, k=K, e_max=E_MAX)
-        _, stats = enumerate_cover_sets(spark, tiny_edges, e_max=E_MAX)
+        stats = enumerate_gspan(spark, tiny_edges, e_max=E_MAX)
+        parts = r.extra["partitions"]
         assert stats.n_visited == r.n_enumerated
-        assert r.extra["n_matched"] == stats.n_visited + stats.n_pruned_support
-        assert r.extra["n_children_nonmin"] == stats.n_children_nonmin > 0
+        assert r.extra["n_matched"] == sum(p["patterns"] for p in parts) >= r.n_enumerated
+        assert r.extra["n_children_nonmin"] == sum(p["n_children_nonmin"] for p in parts)
+        assert r.extra["n_children_nonmin"] >= stats.n_children_nonmin > 0
 
     def test_result_row_shape(self, spark, tiny_edges):
         row = all_g(spark, tiny_edges, k=K, e_max=2).row()
         assert {"algo", "coverage_rate", "truncated", "time_s"} <= set(row)
+
+
+class TestTreeJobAnswers:
+    """ALL_t's swap stream and OPT see S in the driver loop's order, so
+    their answers equal selection over the S the driver loop streams."""
+
+    @pytest.fixture(scope="class")
+    def driver_sets(self, spark, tiny_edges):
+        sets = {}
+        enumerate_gspan(spark, tiny_edges, e_max=E_MAX,
+                        visitor=lambda ps: sets.__setitem__(ps.code, ps.cover))
+        return sets
+
+    def test_all_t_unchanged(self, spark, tiny_edges, driver_sets):
+        m = PatternMaintainer(k=K, alpha=1.0)
+        for code, cover in driver_sets.items():
+            m.offer(code, cover)
+        covered = frozenset().union(*(driver_sets[c] for c in m.patterns))
+        r = all_t(spark, tiny_edges, k=K, e_max=E_MAX)
+        assert (r.patterns, r.coverage, r.n_swaps, r.n_enumerated) == (
+            m.patterns, len(covered), m.stats.n_swaps, len(driver_sets))
+
+    def test_opt_exact_unchanged(self, spark, tiny_edges, driver_sets):
+        chosen, covered = exact_max_cover(driver_sets, K)
+        r = opt_exact(spark, tiny_edges, k=K, e_max=E_MAX)
+        assert (list(r.patterns), r.coverage) == (list(chosen), len(covered))
 
 
 class TestTruncation:

@@ -9,10 +9,12 @@ import os
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.baselines import all_g, fsg_g
+from repro.core.baselines import all_g, enumerate_cover_sets, fsg_g
 from repro.core.ted import ted
-from repro.enumeration.distributed import match_level, match_level_df
-from repro.enumeration.gspan import EnumStats, enumerate_gspan, level1_codes
+from repro.enumeration import gspan
+from repro.enumeration.distributed import TASK_COUNTERS, match_level, match_level_df
+from repro.enumeration.gspan import EnumStats, enumerate_gspan, level1_codes, mine_graphs
+from repro.graphdb.generator import molecule_db
 from repro.graphdb.model import edge_key
 from repro.graphdb.spark_io import to_edges_df, to_edges_pandas
 from repro.isomorphism.bruteforce import (
@@ -21,6 +23,7 @@ from repro.isomorphism.bruteforce import (
 )
 from repro.isomorphism.dfscode import code_key, code_to_graph, min_code_of_graph
 from repro.isomorphism.matcher import match_stats
+from repro.maxcover.greedy import greedy_max_cover
 from repro.oracle import assert_equivalent
 from tests.helpers import tiny_db
 
@@ -183,6 +186,98 @@ class TestInputPartitioning:
         assert (r.patterns, r.coverage) == (ted_on_tiny.patterns, ted_on_tiny.coverage)
 
 
+def driver_stream(spark, edges, e_max):
+    """S as the driver loop streams it, ``[(code, cover)]``, and its stats."""
+    seen = []
+    stats = enumerate_gspan(spark, edges, e_max=e_max,
+                            visitor=lambda ps: seen.append((ps.code, ps.cover)))
+    return seen, stats
+
+
+@pytest.fixture(scope="module")
+def aids_edges(spark):
+    """aids_lite-100, seed 0: the benchmark's database."""
+    df = to_edges_df(spark, molecule_db("aids_lite", 100, seed=0)).cache()
+    df.count()
+    yield df
+    df.unpersist()
+
+
+class TestTreeJob:
+    """The materializing baselines mine S in one job whose tasks each run
+    the level loop over their own graphs; the merged S is the driver
+    loop's: the same codes, covers and order."""
+
+    @pytest.mark.parametrize(
+        "db, e_max, truncated",
+        [("tiny_edges", 3, False), ("tiny_edges", 4, False), ("clique_edges", 3, False),
+         ("clique_edges", 4, True), ("aids_edges", 4, False)],
+    )
+    def test_same_stream_as_driver_loop(self, request, spark, db, e_max, truncated):
+        """On the clique one task holds the only graph, so even its capped
+        run matches the driver loop's."""
+        edges = request.getfixturevalue(db)
+        expected, stats = driver_stream(spark, edges, e_max)
+        sets, tree_stats = enumerate_cover_sets(spark, edges, e_max=e_max)
+        assert list(sets.items()) == expected
+        assert stats.truncated is tree_stats.truncated is truncated
+        assert tree_stats.n_visited == stats.n_visited and not tree_stats.timed_out
+
+    @pytest.mark.parametrize("resplit", list(RESPLITS.values()), ids=list(RESPLITS))
+    def test_input_split_changes_nothing(self, spark, tiny_edges, resplit):
+        expected, _ = driver_stream(spark, tiny_edges, 3)
+        sets, _ = enumerate_cover_sets(spark, resplit(tiny_edges), e_max=3)
+        assert list(sets.items()) == expected
+
+    def test_one_partition_equals_one_per_core(self, spark, tiny_mol_db, tiny_edges):
+        """The loop over the whole database in one process is the driver
+        loop, counters included; the job's tasks split the graphs."""
+        found, stats = mine_graphs(tiny_mol_db, e_max=3)
+        expected, driver_stats = driver_stream(spark, tiny_edges, 3)
+        assert [(ps.code, ps.cover) for ps in found] == expected
+        assert stats == driver_stats
+        r = all_g(spark, tiny_edges, k=3, e_max=3)
+        assert r.n_enumerated == len(found)
+        parts = r.extra["partitions"]
+        assert 1 <= len(parts) <= spark.sparkContext.defaultParallelism
+        assert sum(p["graphs"] for p in parts) == len(tiny_mol_db)
+
+    def test_reports_phases_and_tasks(self, spark, tiny_edges):
+        r = all_g(spark, tiny_edges, k=3, e_max=3)
+        phases = r.extra["phases"]
+        assert list(phases) == ["scan_s", "mining_s", "merge_s", "selection_s"]
+        assert all(t >= 0 for t in phases.values()) and sum(phases.values()) <= r.elapsed_s
+        for p in r.extra["partitions"]:
+            assert list(p) == list(TASK_COUNTERS)
+            assert p["levels"] == 3 and p["patterns"] > 0 and p["task_s"] > 0
+            assert p["is_min_calls"] >= p["n_children_nonmin"] > 0
+            assert not p["timed_out"] and not p["truncated"]
+
+    def test_time_limit_stops_every_task(self, spark, tiny_edges):
+        r = all_g(spark, tiny_edges, k=3, e_max=4, time_limit_s=0.0)
+        assert r.timed_out
+        assert all(p["timed_out"] and p["levels"] == 1 for p in r.extra["partitions"])
+
+    @pytest.mark.parametrize("e_max", [2, 3, 4])
+    def test_no_extensions_at_e_max_in_task(self, tiny_mol_db, monkeypatch, e_max):
+        """The in-task loop skips the extension walk at ``e_max``; forcing
+        it everywhere changes no pattern, cover or counter."""
+        found, stats = mine_graphs(tiny_mol_db, e_max=e_max)
+        asked = []
+
+        def forced(graphs, codes, *, want_extensions, _real=gspan.match_graphs):
+            asked.append((len(codes[0]), want_extensions))
+            return _real(graphs, codes, want_extensions=True)
+
+        monkeypatch.setattr(gspan, "match_graphs", forced)
+        ref, ref_stats = mine_graphs(tiny_mol_db, e_max=e_max)
+        assert set(asked) == {(n, n < e_max) for n in range(1, e_max + 1)}
+        assert [(ps.code, ps.support_gids, ps.cover, ps.truncated) for ps in found] == [
+            (ps.code, ps.support_gids, ps.cover, ps.truncated) for ps in ref
+        ]
+        assert stats == ref_stats
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 class TestGSpanVsBruteForce:
     def test_same_patterns_supports_covers(self, spark, seed):
@@ -267,7 +362,10 @@ ALGOS = {
 def test_no_extensions_at_e_max_changes_nothing(spark, tiny_edges, monkeypatch, algo, e_max):
     """Levels whose codes have ``e_max`` edges are matched without
     extensions; answers and counters equal a run that asks for them
-    everywhere."""
+    everywhere. ALL_g's level loop runs inside the tasks of one job, out of
+    the patch's reach: its answer must equal greedy MaxCover over the S the
+    driver loop streams when it asks for extensions everywhere
+    (``TestTreeJob`` checks the in-task loop with the same patch)."""
     run = ALGOS[algo]
     r = run(spark, tiny_edges, k=3, e_max=e_max)
     asked = []
@@ -279,7 +377,15 @@ def test_no_extensions_at_e_max_changes_nothing(spark, tiny_edges, monkeypatch, 
             return _real(spark, edges, codes, want_extensions=True)
 
         monkeypatch.setattr(mod, "match_level", forced)
-    ref = run(spark, tiny_edges, k=3, e_max=e_max)
+    if algo == "all_g":
+        sets = {}
+        stats = enumerate_gspan(spark, tiny_edges, e_max=e_max,
+                                visitor=lambda ps: sets.__setitem__(ps.code, ps.cover))
+        chosen, covered = greedy_max_cover(sets, 3)
+        assert (r.patterns, r.coverage, r.n_enumerated, r.truncated, r.timed_out) == (
+            chosen, len(covered), len(sets), stats.truncated, stats.timed_out)
+    else:
+        ref = run(spark, tiny_edges, k=3, e_max=e_max)
+        untimed = {"elapsed_s": 0.0, "index_time_s": 0.0}
+        assert dataclasses.replace(r, **untimed) == dataclasses.replace(ref, **untimed)
     assert set(asked) == {(n, n < e_max) for n in range(1, e_max + 1)}
-    untimed = {"elapsed_s": 0.0, "index_time_s": 0.0}
-    assert dataclasses.replace(r, **untimed) == dataclasses.replace(ref, **untimed)
