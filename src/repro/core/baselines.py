@@ -16,6 +16,11 @@ threshold needs database-wide support between levels, so FSG keeps the
 driver loop (:func:`repro.enumeration.gspan.enumerate_gspan`), one job per
 level. The tracer sees no level job of the tree job, so ALL_g, ALL_t and
 OPT report its phases and per-task counters in ``AlgoResult.extra``.
+
+The database's edge total (``AlgoResult.total_edges``) comes from the tree
+job too: each task counts its graphs' edges in its summary row. FSG, which
+runs no tree job, scans the edge table for it with
+:func:`repro.graphdb.spark_io.per_graph_edge_counts`.
 """
 from __future__ import annotations
 
@@ -41,7 +46,8 @@ def _mine_tree(
     over tasks (``levels`` and ``peak_frontier`` are maxima); ``n_matched``
     counts (pattern, task) pairs and ``n_children_nonmin`` repeats a
     rejection in every task whose graphs hold the parent. The report holds
-    the job and merge times and one counter dict per non-empty task."""
+    the database's edge total, the job and merge times and one counter dict
+    per non-empty task."""
     t0 = time.perf_counter()
     pdf = mine_df(spark, edges, e_max=e_max, time_limit_s=time_limit_s).toPandas()
     t1 = time.perf_counter()
@@ -65,7 +71,8 @@ def _mine_tree(
         truncated=bool(pdf["truncated"].any()),
         peak_frontier=max((t["peak_frontier"] for t in tasks), default=0),
     )
-    report = {"mining_s": t1 - t0, "merge_s": time.perf_counter() - t1, "partitions": tasks}
+    report = {"edges": sum(t["edges"] for t in tasks), "mining_s": t1 - t0,
+              "merge_s": time.perf_counter() - t1, "partitions": tasks}
     return sets, stats, report
 
 
@@ -132,8 +139,6 @@ def _run_materialized(
     time_limit_s: float | None = None,
 ) -> AlgoResult:
     t0 = time.perf_counter()
-    total_edges = sum(per_graph_edge_counts(edges).values())
-    t_scan = time.perf_counter()
     sets, enum_stats, report = _cover_sets(
         spark,
         edges,
@@ -141,6 +146,10 @@ def _run_materialized(
         min_support_frac=min_support_frac,
         time_limit_s=time_limit_s,
     )
+    if report is None:
+        total_edges = sum(per_graph_edge_counts(edges).values())
+    else:
+        total_edges = report["edges"]
     t_select = time.perf_counter()
     index_time = 0.0
     index_bytes = 0
@@ -174,7 +183,6 @@ def _run_materialized(
     }
     if report is not None:
         extra["phases"] = {
-            "scan_s": t_scan - t0,
             "mining_s": report["mining_s"],
             "merge_s": report["merge_s"],
             "selection_s": t_end - t_select,

@@ -17,8 +17,9 @@ prefix's embeddings are enumerated once, the children of a prefix with no
 embedding are skipped, and every other child's embeddings are the prefix
 embeddings extended by its last entry (gSpan's projection). 1-edge patterns
 have an empty prefix and are matched directly. Where the prefix or a child
-reaches the embedding cap, that child is matched from the root with
-``match_stats``, so every row is exactly what ``match_stats`` gives.
+reaches the embedding cap, that child is matched from the root
+(:func:`repro.isomorphism.matcher.match_child`, which the tree job's
+matcher shares), so every row is exactly what ``match_stats`` gives.
 Preparing in the tasks rather than on the driver keeps the pattern graphs
 out of the broadcast: the 5150 codes of level 4 on aids_lite-100 pickle to
 175 KB and unpickle in about 2 ms, where the prepared frontier took 774 KB
@@ -39,12 +40,14 @@ temporary directory does not outlive the level.
 
 **The tree job.** :func:`mine_df` runs the whole level loop in each task:
 :func:`repro.enumeration.gspan.mine_graphs`, which matches each level over
-the task's graphs with :func:`match_graphs` (the level task's matching,
-folded in-process) and grows children from them. Nothing crosses between
-tasks or reaches the driver until the loop is done, so it serves the
-enumerations that keep every pattern with support >= 1: ALL_g, ALL_t and
-OPT. Each task emits one row per pattern that occurs in its graphs, and
-one summary row:
+the task's graphs with a :class:`ProjectedMatcher` and grows children from
+them. The matcher keeps each pattern's embeddings in the task's graphs for
+the next level, so a child is tried only in the graphs that hold its
+parent, by extending the parent's embeddings; no prefix is re-enumerated.
+Nothing crosses between tasks or reaches the driver until the loop is done,
+so it serves the enumerations that keep every pattern with support >= 1:
+ALL_g, ALL_t and OPT. Each task emits one row per pattern that occurs in
+its graphs, and one summary row:
 
     (code: string, covered: array<long>, truncated: boolean,
      task: map<string, double>)
@@ -52,8 +55,10 @@ one summary row:
 ``code`` is :func:`repro.isomorphism.dfscode.encode` of the pattern and
 null on the summary row; ``covered`` is the pattern's cover over the
 task's graphs as global edge keys; ``task`` is null on pattern rows and
-holds the task's counters on the summary row (see :data:`TASK_COUNTERS`).
-Covers are disjoint across partitions, so the driver merges them by union.
+holds the task's counters on the summary row (see :data:`TASK_COUNTERS`),
+among them its graphs' edge count, which the driver sums into the
+database's edge total. Covers are disjoint across partitions, so the driver
+merges them by union.
 
 The partition count is ``defaultParallelism`` (one task per core), not more.
 Each Python task has a fixed cost. It used to be 0.1-0.3 s, because PySpark's
@@ -90,8 +95,14 @@ from pyspark.sql.types import (
 
 from repro.graphdb.model import Graph, edge_key
 from repro.graphdb.spark_io import graphs_from_pandas
-from repro.isomorphism.dfscode import DFSCode, Edge5, encode
-from repro.isomorphism.matcher import match_frontier, prepare_frontier
+from repro.isomorphism.dfscode import DFSCode, Edge5, code_to_graph, encode, rightmost_path
+from repro.isomorphism.matcher import (
+    Embedding,
+    FrontierChild,
+    match_child,
+    match_frontier,
+    prepare_frontier,
+)
 
 LEVEL_SCHEMA = StructType(
     [
@@ -115,7 +126,9 @@ MINE_SCHEMA = StructType(
 #: Keys of a tree-job task's summary row, in report order.
 TASK_COUNTERS = (
     "graphs",              # graphs in the partition
+    "edges",               # edges of those graphs
     "patterns",            # pattern rows emitted
+    "pairs",               # (pattern, graph) pairs the loop tried
     "levels",              # levels the loop ran
     "is_min_calls",        # extensions checked by ``is_min``
     "n_children_nonmin",   # of which rejected as non-minimal
@@ -194,19 +207,50 @@ def _fold(
     ]
 
 
-def match_graphs(
-    graphs: list[Graph], codes: list[DFSCode], *, want_extensions: bool = True
-) -> list[PatternLevelStats]:
-    """One level matched over graphs held in this process: what
-    :func:`match_level` returns for a database of these graphs, with no
-    Spark job. The frontier is prepared once (:func:`prepare_frontier`) and
-    matched against each graph with :func:`match_frontier`."""
-    prepared = prepare_frontier(codes)
-    return _fold(codes, (
-        (pid, g.gid, [edge_key(g.gid, e) for e in ms.covered_eids], ms.extensions, ms.truncated)
-        for g in graphs
-        for pid, ms in match_frontier(prepared, g, want_extensions=want_extensions)
-    ))
+class ProjectedMatcher:
+    """The level matcher of :func:`repro.enumeration.gspan.mine_graphs`:
+    each call matches one level over graphs held in this process and
+    returns what :func:`match_level` would for a database of these graphs,
+    with no Spark job. Between calls it keeps gSpan's projected database.
+
+    A level asked for extensions keeps each pattern's embeddings in every
+    graph where it occurs, as ``(vmap, eids)`` lists, or None in a graph
+    where they reach the embedding cap. A code whose parent (``code[:-1]``)
+    the previous level kept is tried only in the graphs where the parent
+    occurs, by :func:`repro.isomorphism.matcher.match_child`: from the
+    parent's embeddings, or from the root where the parent was capped. Codes
+    with no kept parent, such as the 1-edge roots, are tried in every graph.
+    Each level's state replaces the previous one once the level is matched;
+    a level asked for no extensions (one at ``E_max``) keeps none.
+    ``pairs`` counts the (pattern, graph) pairs tried.
+    """
+
+    def __init__(self, graphs: list[Graph]) -> None:
+        self.graphs = graphs
+        self.pairs = 0
+        self._kept: dict[DFSCode, list[tuple[Graph, list[Embedding] | None]]] = {}
+
+    def __call__(self, codes: list[DFSCode], want_extensions: bool) -> list[PatternLevelStats]:
+        everywhere = [(g, None) for g in self.graphs]
+        kept: dict[DFSCode, list[tuple[Graph, list[Embedding] | None]]] = {}
+
+        def rows():
+            for pid, code in enumerate(codes):
+                child = FrontierChild(pid, code, code_to_graph(code), rightmost_path(code))
+                where = self._kept.get(code[:-1], everywhere)
+                self.pairs += len(where)
+                own = kept[code] = []
+                for g, parent_embs in where:
+                    ms, embs = match_child(child, parent_embs, g, want_extensions=want_extensions)
+                    if ms.n_embeddings:
+                        if want_extensions:
+                            own.append((g, embs))
+                        yield (pid, g.gid, [edge_key(g.gid, e) for e in ms.covered_eids],
+                               ms.extensions, ms.truncated)
+
+        level = _fold(codes, rows())
+        self._kept = kept if want_extensions else {}
+        return level
 
 
 def match_level_df(
@@ -312,12 +356,14 @@ def mine_df(
         if not graphs:
             return
         t0 = time.perf_counter()
-        found, st = mine_graphs(graphs, e_max=e_max, time_limit_s=time_limit_s)
+        match = ProjectedMatcher(graphs)
+        found, st = mine_graphs(graphs, e_max=e_max, time_limit_s=time_limit_s, matcher=match)
         rows: list[tuple] = [
             (encode(ps.code), sorted(ps.cover), ps.truncated, None) for ps in found
         ]
-        counters = (len(graphs), len(found), st.levels, st.n_is_min, st.n_children_nonmin,
-                    st.peak_frontier, st.truncated, st.timed_out, time.perf_counter() - t0)
+        counters = (len(graphs), sum(g.n_edges for g in graphs), len(found), match.pairs,
+                    st.levels, st.n_is_min, st.n_children_nonmin, st.peak_frontier,
+                    st.truncated, st.timed_out, time.perf_counter() - t0)
         rows.append((None, [], st.truncated, dict(zip(TASK_COUNTERS, map(float, counters)))))
         yield pd.DataFrame(rows, columns=columns)
 

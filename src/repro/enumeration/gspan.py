@@ -13,11 +13,13 @@ parameter:
   (:func:`repro.enumeration.distributed.match_level`). TED and FSG use it:
   PRM needs the global pattern set P, and FSG's threshold needs
   database-wide support, between every two levels.
-- :func:`mine_graphs` runs the loop over the graphs one process holds,
-  matching each level with :func:`repro.enumeration.distributed
-  .match_graphs`. With no threshold and no filter, no decision waits for the
-  rest of the database, so the materializing baselines run it inside the
-  tasks of one Spark job (:func:`repro.enumeration.distributed.mine_df`).
+- :func:`mine_graphs` runs the loop over the graphs one process holds. Its
+  level matcher (:class:`repro.enumeration.distributed.ProjectedMatcher`)
+  keeps each pattern's embeddings for its children, as gSpan keeps its
+  projected database, so a child is only looked for where its parent
+  occurs. With no threshold and no filter, no decision waits for the rest
+  of the database, so the materializing baselines run it inside the tasks
+  of one Spark job (:func:`repro.enumeration.distributed.mine_df`).
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from typing import Callable
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.enumeration.distributed import PatternLevelStats, match_graphs, match_level
+from repro.enumeration.distributed import PatternLevelStats, ProjectedMatcher, match_level
 from repro.graphdb.model import Graph
 from repro.isomorphism.dfscode import DFSCode, code_key, is_min
 
@@ -181,13 +183,18 @@ def enumerate_gspan(
 
 
 def mine_graphs(
-    graphs: list[Graph], *, e_max: int, time_limit_s: float | None = None
+    graphs: list[Graph],
+    *,
+    e_max: int,
+    time_limit_s: float | None = None,
+    matcher: ProjectedMatcher | None = None,
 ) -> tuple[list[PatternLevelStats], EnumStats]:
     """Every pattern with ``|E| <= e_max`` and an embedding in ``graphs``,
     in stream order (by size, then canonical DFS-code order), with its cover
-    and support over these graphs: :func:`level_loop` with
-    :func:`match_graphs` as the level matcher and these graphs' own 1-edge
-    codes as roots.
+    and support over these graphs: :func:`level_loop` with a
+    :class:`ProjectedMatcher` over ``graphs`` as the level matcher and these
+    graphs' own 1-edge codes as roots. Pass ``matcher`` (built over the same
+    graphs) to read its pair count afterwards.
 
     Each prefix of a minimal DFS code is a connected subgraph of the
     pattern, so it occurs wherever the pattern does, and the loop reaches
@@ -205,7 +212,7 @@ def mine_graphs(
     found: list[PatternLevelStats] = []
     stats = level_loop(
         roots,
-        lambda codes, want: match_graphs(graphs, codes, want_extensions=want),
+        ProjectedMatcher(graphs) if matcher is None else matcher,
         e_max=e_max,
         visitor=found.append,
         deadline=deadline,

@@ -11,8 +11,12 @@ adjacent to the partial embedding — no global backtracking search is needed.
 :func:`match_stats` matches one pattern in one graph; :func:`match_frontier`
 matches a whole enumeration level in one graph, enumerating the embeddings
 of each shared parent (DFS-code prefix) once and extending them by each
-child's last entry, with results equal to :func:`match_stats` for every
-pattern.
+child's last entry. :func:`match_child` is that step for one child: it
+extends given parent embeddings, or matches from the root where they are
+missing or reach the cap, so its result always equals :func:`match_stats`.
+The tree job's level matcher
+(:class:`repro.enumeration.distributed.ProjectedMatcher`) calls it with
+embeddings kept from the previous level.
 
 A per-(pattern, graph) embedding cap guards against pathological blowup on
 near-unlabeled graphs. It is a fixed policy of this module
@@ -32,8 +36,10 @@ from repro.isomorphism.dfscode import DFSCode, Edge5, code_to_graph, rightmost_p
 #: Cap on embeddings enumerated per (pattern, graph).
 DEFAULT_MAX_EMB = 2000
 
-#: A partial embedding: (vmap, used vertices, eids); ``len(eids)`` entries are bound.
-_State = tuple[list[int], set[int], list[int]]
+#: A (partial) embedding ``(vmap, eids)``: ``vmap[p]`` is the graph vertex
+#: bound to pattern vertex ``p``, ``eids[t]`` the graph edge bound to code
+#: entry ``t``; ``len(eids)`` entries are bound.
+Embedding = tuple[list[int], list[int]]
 
 
 @dataclass
@@ -46,25 +52,24 @@ class MatchResult:
     truncated: bool  # True if the embedding cap was hit
 
 
-def _step(
-    g: Graph, entry: Edge5, vmap: list[int], used_v: set[int], eids: list[int]
-) -> list[_State]:
-    """The partial embeddings that bind ``entry`` onto ``(vmap, used_v, eids)``.
+def _step(g: Graph, entry: Edge5, vmap: list[int], eids: list[int]) -> list[Embedding]:
+    """The partial embeddings that bind ``entry`` onto ``(vmap, eids)``.
 
     A forward entry binds a fresh neighbour of ``vmap[i]`` to the new pattern
     vertex ``j``; a backward entry requires the graph edge between the two
-    bound vertices. Each result is a new ``(vmap, used_v, eids)`` state.
+    bound vertices. Each result is a new ``(vmap, eids)``; a pattern has a
+    handful of vertices, so freshness is a scan of ``vmap``.
     """
     i, j, _, el, lj = entry
     out = []
     if j == len(vmap):  # forward: bind a new vertex for j
         for nbr, nel, eid in g.adj[vmap[i]]:
-            if nel == el and nbr not in used_v and g.vlabels[nbr] == lj:
-                out.append((vmap + [nbr], used_v | {nbr}, eids + [eid]))
+            if nel == el and g.vlabels[nbr] == lj and nbr not in vmap:
+                out.append((vmap + [nbr], eids + [eid]))
     else:  # backward: required edge between two bound vertices
         hit = g.edge_lookup.get((vmap[i], vmap[j]))
         if hit is not None and hit[0] == el:
-            out.append((vmap, used_v, eids + [hit[1]]))
+            out.append((vmap, eids + [hit[1]]))
     return out
 
 
@@ -77,22 +82,22 @@ def iter_embeddings(code: DFSCode, g: Graph, max_emb: int = DEFAULT_MAX_EMB):
     depth-first over partial embeddings, so which embeddings come first when
     the cap cuts it short depends only on ``code`` and ``g``. Callers:
     :func:`match_stats` (with its cap), :func:`match_frontier` (for the
-    shared prefix of a group of children), :func:`contains` (first hit
-    only) and the VQF step model, which places patterns on edge-disjoint
-    regions of a query.
+    shared prefix of a group of children), :func:`match_child` (from the
+    root), :func:`contains` (first hit only) and the VQF step model, which
+    places patterns on edge-disjoint regions of a query.
     """
     i0, j0, l0, el0, l1 = code[0]
     count = 0
-    stack: list[_State] = []
+    stack: list[Embedding] = []
     for v0 in range(g.n_vertices):
         if g.vlabels[v0] != l0:
             continue
         for nbr, el, eid in g.adj[v0]:
             if el == el0 and g.vlabels[nbr] == l1:
-                stack.append(([v0, nbr], {v0, nbr}, [eid]))
+                stack.append(([v0, nbr], [eid]))
     n_entries = len(code)
     while stack:
-        vmap, used_v, eids = stack.pop()
+        vmap, eids = stack.pop()
         t = len(eids)
         if t == n_entries:
             yield vmap, eids
@@ -100,11 +105,11 @@ def iter_embeddings(code: DFSCode, g: Graph, max_emb: int = DEFAULT_MAX_EMB):
             if count >= max_emb:
                 return
             continue
-        stack += _step(g, code[t], vmap, used_v, eids)
+        stack += _step(g, code[t], vmap, eids)
 
 
 def _aggregate(
-    embeddings: Iterable[tuple[list[int], list[int]]],
+    embeddings: Iterable[Embedding],
     g: Graph,
     p: Graph,
     rmpath: list[int],
@@ -202,19 +207,54 @@ def prepare_frontier(codes: list[DFSCode]) -> list[PrefixGroup]:
     ]
 
 
-def _prefix_states(group: PrefixGroup, g: Graph) -> list[_State] | None:
-    """Every embedding of the group's prefix in ``g`` as a
-    ``(vmap, used_v, eids)`` state, or None when the children must be
-    matched from the root: 1-edge children (empty prefix), or a prefix whose
-    enumeration reaches :data:`DEFAULT_MAX_EMB`."""
+def _prefix_states(group: PrefixGroup, g: Graph) -> list[Embedding] | None:
+    """Every embedding of the group's prefix in ``g``, or None when the
+    children must be matched from the root: 1-edge children (empty prefix),
+    or a prefix whose enumeration reaches :data:`DEFAULT_MAX_EMB`."""
     if not group.prefix:
         return None
     if not g.could_contain(group.pattern):
         return []
     embs = list(islice(iter_embeddings(group.prefix, g), DEFAULT_MAX_EMB))
-    if len(embs) == DEFAULT_MAX_EMB:
-        return None
-    return [(vmap, set(vmap), eids) for vmap, eids in embs]
+    return None if len(embs) == DEFAULT_MAX_EMB else embs
+
+
+def match_child(
+    child: FrontierChild,
+    parent_embs: list[Embedding] | None,
+    g: Graph,
+    *,
+    want_extensions: bool = True,
+) -> tuple[MatchResult, list[Embedding] | None]:
+    """Match ``child`` in ``g`` by extending every embedding of its parent
+    (``child.code[:-1]``) in ``g`` by the child's last entry — gSpan's
+    projection — or from the root when ``parent_embs`` is None.
+
+    Returns the :class:`MatchResult`, which equals ``match_stats(child.code,
+    g)``, and the child's embeddings, or None when they reach
+    :data:`DEFAULT_MAX_EMB`. Which embeddings survive the cap depends on the
+    search order, so a child whose extension reaches the cap is matched from
+    the root too; and a parent capped in ``g`` must come as None, since its
+    embeddings are incomplete.
+    """
+    embs = None
+    if parent_embs is not None:
+        last = child.code[-1]
+        embs = list(islice(
+            (e for vmap, eids in parent_embs for e in _step(g, last, vmap, eids)),
+            DEFAULT_MAX_EMB,
+        ))
+        if len(embs) == DEFAULT_MAX_EMB:
+            embs = None
+    if embs is None:
+        if not g.could_contain(child.pattern):
+            return MatchResult(0, set(), set(), False), []
+        embs = list(islice(iter_embeddings(child.code, g), DEFAULT_MAX_EMB))
+    ms = _aggregate(
+        embs, g, child.pattern, child.rmpath,
+        want_extensions=want_extensions, max_emb=DEFAULT_MAX_EMB,
+    )
+    return ms, None if ms.truncated else embs
 
 
 def match_frontier(
@@ -223,35 +263,18 @@ def match_frontier(
     """Match a prepared frontier in ``g``; yield ``(index, MatchResult)`` for
     every pattern with at least one embedding.
 
-    The prefix of each group is enumerated once, and each child's embeddings
-    are the prefix embeddings extended by the child's last entry — gSpan's
-    projection onto the parent's embeddings. No child of a prefix without an
-    embedding is looked at. Each result equals ``match_stats(code, g)``:
-    when the prefix or the child reaches the embedding cap, which embeddings
-    survive the cap depends on the search order, so that child is matched by
-    :func:`match_stats` instead.
+    The prefix of each group is enumerated once, and each child is matched
+    from the prefix embeddings by :func:`match_child`. No child of a prefix
+    without an embedding is looked at. Each result equals
+    ``match_stats(code, g)``: when the prefix or the child reaches the
+    embedding cap, that child is matched from the root.
     """
     for group in prepared:
         states = _prefix_states(group, g)
         if states == []:
             continue
         for child in group.children:
-            ms = None
-            if states is not None:
-                last = child.code[-1]
-                embs = list(islice(
-                    ((vmap, eids) for s in states for vmap, _, eids in _step(g, last, *s)),
-                    DEFAULT_MAX_EMB,
-                ))
-                if len(embs) < DEFAULT_MAX_EMB:
-                    ms = _aggregate(
-                        embs, g, child.pattern, child.rmpath,
-                        want_extensions=want_extensions, max_emb=DEFAULT_MAX_EMB,
-                    )
-            if ms is None:
-                ms = match_stats(
-                    child.code, g, want_extensions=want_extensions, pattern=child.pattern
-                )
+            ms, _ = match_child(child, states, g, want_extensions=want_extensions)
             if ms.n_embeddings:
                 yield child.index, ms
 

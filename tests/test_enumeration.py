@@ -9,14 +9,19 @@ import os
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.baselines import all_g, enumerate_cover_sets, fsg_g
+from repro.core.baselines import all_g, all_t, enumerate_cover_sets, fsg_g, opt_exact
 from repro.core.ted import ted
 from repro.enumeration import gspan
-from repro.enumeration.distributed import TASK_COUNTERS, match_level, match_level_df
+from repro.enumeration.distributed import (
+    TASK_COUNTERS,
+    ProjectedMatcher,
+    match_level,
+    match_level_df,
+)
 from repro.enumeration.gspan import EnumStats, enumerate_gspan, level1_codes, mine_graphs
 from repro.graphdb.generator import molecule_db
-from repro.graphdb.model import edge_key
-from repro.graphdb.spark_io import to_edges_df, to_edges_pandas
+from repro.graphdb.model import edge_key, make_graph
+from repro.graphdb.spark_io import per_graph_edge_counts, to_edges_df, to_edges_pandas
 from repro.isomorphism.bruteforce import (
     canonical_form_bruteforce,
     distinct_patterns_bruteforce,
@@ -245,11 +250,12 @@ class TestTreeJob:
     def test_reports_phases_and_tasks(self, spark, tiny_edges):
         r = all_g(spark, tiny_edges, k=3, e_max=3)
         phases = r.extra["phases"]
-        assert list(phases) == ["scan_s", "mining_s", "merge_s", "selection_s"]
+        assert list(phases) == ["mining_s", "merge_s", "selection_s"]
         assert all(t >= 0 for t in phases.values()) and sum(phases.values()) <= r.elapsed_s
         for p in r.extra["partitions"]:
             assert list(p) == list(TASK_COUNTERS)
             assert p["levels"] == 3 and p["patterns"] > 0 and p["task_s"] > 0
+            assert p["edges"] >= p["graphs"] > 0 and p["pairs"] >= p["patterns"]
             assert p["is_min_calls"] >= p["n_children_nonmin"] > 0
             assert not p["timed_out"] and not p["truncated"]
 
@@ -265,17 +271,70 @@ class TestTreeJob:
         found, stats = mine_graphs(tiny_mol_db, e_max=e_max)
         asked = []
 
-        def forced(graphs, codes, *, want_extensions, _real=gspan.match_graphs):
+        def forced(self, codes, want_extensions, _real=ProjectedMatcher.__call__):
             asked.append((len(codes[0]), want_extensions))
-            return _real(graphs, codes, want_extensions=True)
+            return _real(self, codes, True)
 
-        monkeypatch.setattr(gspan, "match_graphs", forced)
+        monkeypatch.setattr(ProjectedMatcher, "__call__", forced)
         ref, ref_stats = mine_graphs(tiny_mol_db, e_max=e_max)
         assert set(asked) == {(n, n < e_max) for n in range(1, e_max + 1)}
         assert [(ps.code, ps.support_gids, ps.cover, ps.truncated) for ps in found] == [
             (ps.code, ps.support_gids, ps.cover, ps.truncated) for ps in ref
         ]
         assert stats == ref_stats
+
+    @pytest.mark.parametrize("e_max", [3, 4])
+    def test_kept_embeddings_with_mixed_caps(self, spark, e_max):
+        """The kept embeddings give the driver loop's stream, counters
+        included, when a parent is capped in some graphs and not in others:
+        the 2-edge path C-C-C has 2070 embeddings in a hub with 46 C leaves,
+        over the cap, 210 in the 7-clique and a few in the molecules. Its
+        children must be matched from the root in the hub: its child
+        C-C-C-O, with the O on the hub's first leaf, has 45 embeddings there,
+        and extending the 2000 capped parent embeddings finds fewer."""
+        n_leaves = 46
+        db = molecule_db("emol_lite", 10, seed=2) + [
+            make_graph(10, ["C"] * 7, [(u, v) for u in range(7) for v in range(u + 1, 7)]),
+            make_graph(11, ["C"] * (n_leaves + 1) + ["O"],
+                       [(0, i) for i in range(1, n_leaves + 1)] + [(1, n_leaves + 1)]),
+        ]
+        expected = []
+        stats = enumerate_gspan(
+            spark, to_edges_df(spark, db), e_max=e_max,
+            visitor=lambda ps: expected.append((ps.code, ps.support_gids, ps.cover, ps.truncated)),
+        )
+        found, tree_stats = mine_graphs(db, e_max=e_max)
+        assert [(ps.code, ps.support_gids, ps.cover, ps.truncated) for ps in found] == expected
+        assert tree_stats == stats and stats.truncated
+        path2 = next(ps for ps in found if ps.code == ((0, 1, "C", "-", "C"), (1, 2, "C", "-", "C")))
+        assert path2.truncated and {10, 11} < path2.support_gids
+
+    @pytest.mark.parametrize("e_max", [2, 3, 4])
+    def test_children_tried_only_where_parent_occurs(self, tiny_mol_db, e_max):
+        """A task tries each root in every graph and each minimal child only
+        in the graphs that hold its parent, so its pairs are roots x graphs
+        plus, per child, its parent's support in the task."""
+        for graphs in (tiny_mol_db, tiny_mol_db[:5], tiny_mol_db[5:]):
+            match = ProjectedMatcher(graphs)
+            found, _ = mine_graphs(graphs, e_max=e_max, matcher=match)
+            support = {ps.code: ps.support for ps in found}
+            n_roots = sum(len(ps.code) == 1 for ps in found)
+            routed = sum(support[ps.code[:-1]] for ps in found if len(ps.code) > 1)
+            assert match.pairs == n_roots * len(graphs) + routed
+            assert match.pairs < len(found) * len(graphs)
+
+    @pytest.mark.parametrize("resplit", [None, *RESPLITS.values()], ids=["cached", *RESPLITS])
+    def test_tasks_count_the_edges(self, spark, tiny_edges, resplit):
+        """The tasks' summed ``edges`` is the edge table's count, which ALL_g,
+        ALL_t and OPT report as ``total_edges``, also when every task stops
+        after its first level."""
+        edges = tiny_edges if resplit is None else resplit(tiny_edges)
+        total = sum(per_graph_edge_counts(edges).values())
+        for run in (all_g, all_t, opt_exact):
+            r = run(spark, edges, k=3, e_max=2)
+            assert r.total_edges == sum(p["edges"] for p in r.extra["partitions"]) == total
+        r = all_g(spark, edges, k=3, e_max=4, time_limit_s=0.0)
+        assert r.timed_out and r.total_edges == total
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
