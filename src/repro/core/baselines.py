@@ -76,16 +76,21 @@ def _mine_tree(
     return sets, stats, report
 
 
-def _cover_sets(
+def enumerate_cover_sets(
     spark: SparkSession,
     edges: DataFrame,
     *,
     e_max: int,
-    min_support_frac: float,
-    time_limit_s: float | None,
+    min_support_frac: float = 0.0,
+    time_limit_s: float | None = None,
 ) -> tuple[dict[DFSCode, frozenset[int]], EnumStats, dict | None]:
-    """:func:`enumerate_cover_sets` plus the tree job's report (None for
-    the driver loop, whose level jobs the tracer sees)."""
+    """Materialize S (Algorithm 1 line 1 / Algorithm 2 line 1): every
+    enumerated pattern's cover set, in DFS-code stream order. Returns
+    ``(sets, stats, report)``; ``stats`` says whether the enumeration timed
+    out or hit the embedding cap. With ``min_support_frac == 0`` S is mined
+    by the tree job and ``report`` is its report (see :func:`_mine_tree`),
+    else by the driver loop, whose level jobs the tracer sees, and
+    ``report`` is None (see the module docstring)."""
     if min_support_frac == 0:
         return _mine_tree(spark, edges, e_max=e_max, time_limit_s=time_limit_s)
     sets: dict[DFSCode, frozenset[int]] = {}
@@ -98,26 +103,6 @@ def _cover_sets(
         time_limit_s=time_limit_s,
     )
     return sets, stats, None
-
-
-def enumerate_cover_sets(
-    spark: SparkSession,
-    edges: DataFrame,
-    *,
-    e_max: int,
-    min_support_frac: float = 0.0,
-    time_limit_s: float | None = None,
-) -> tuple[dict[DFSCode, frozenset[int]], EnumStats]:
-    """Materialize S (Algorithm 1 line 1 / Algorithm 2 line 1): every
-    enumerated pattern's cover set, in DFS-code stream order. Returns
-    ``(sets, stats)``; ``stats`` says whether the enumeration timed out or
-    hit the embedding cap. With ``min_support_frac == 0`` S is mined by the
-    tree job, else by the driver loop (see the module docstring)."""
-    sets, stats, _ = _cover_sets(
-        spark, edges, e_max=e_max, min_support_frac=min_support_frac,
-        time_limit_s=time_limit_s,
-    )
-    return sets, stats
 
 
 def _candidate_bytes(sets: dict[DFSCode, frozenset[int]]) -> int:
@@ -139,7 +124,7 @@ def _run_materialized(
     time_limit_s: float | None = None,
 ) -> AlgoResult:
     t0 = time.perf_counter()
-    sets, enum_stats, report = _cover_sets(
+    sets, enum_stats, report = enumerate_cover_sets(
         spark,
         edges,
         e_max=e_max,

@@ -8,23 +8,20 @@ partitions, so every graph lies in exactly one partition, and run one
 and rebuilds those graphs once. A partition with no rows emits nothing.
 
 **The level job.** The frontier (a list of DFS codes) is broadcast as the
-bare codes. Each task groups the frontier by DFS-code prefix
-(``code[:-1]``, the pattern's parent under rightmost extension) with
-:func:`repro.isomorphism.matcher.prepare_frontier` and matches it against
-each of its graphs with :func:`repro.isomorphism.matcher.match_frontier`:
-per graph, each
-prefix's embeddings are enumerated once, the children of a prefix with no
-embedding are skipped, and every other child's embeddings are the prefix
-embeddings extended by its last entry (gSpan's projection). 1-edge patterns
-have an empty prefix and are matched directly. Where the prefix or a child
-reaches the embedding cap, that child is matched from the root
-(:func:`repro.isomorphism.matcher.match_child`, which the tree job's
-matcher shares), so every row is exactly what ``match_stats`` gives.
-Preparing in the tasks rather than on the driver keeps the pattern graphs
-out of the broadcast: the 5150 codes of level 4 on aids_lite-100 pickle to
-175 KB and unpickle in about 2 ms, where the prepared frontier took 774 KB
-and about 60 ms, on one core of a 4-vCPU VM. The job emits one row per
-(pattern, graph) with embeddings:
+bare codes, and each task matches it against its graphs with
+:func:`repro.isomorphism.matcher.match_frontier`, the one frontier matcher
+both jobs share. It groups the frontier by parent (``code[:-1]``, under
+rightmost extension), enumerates each parent's embeddings once per graph,
+skips the graphs where the parent has none, and extends the embeddings by
+each child's last entry (gSpan's projection). 1-edge patterns have an
+empty parent and are matched directly; where the parent or a child reaches
+the embedding cap, that child is matched from the root, so every row is
+exactly what ``match_stats`` gives. The level job keeps no embeddings
+between levels. Preparing the frontier in the tasks rather than on the
+driver keeps the pattern graphs out of the broadcast: the 5150 codes of
+level 4 on aids_lite-100 pickle to 175 KB and unpickle in about 2 ms, where
+the prepared frontier took 774 KB and about 60 ms, on one core of a 4-vCPU
+VM. The job emits one row per (pattern, graph) with embeddings:
 
     (pattern_id, graph_id, covered: array<long>, exts: array<string>,
      truncated: boolean)
@@ -41,13 +38,13 @@ temporary directory does not outlive the level.
 **The tree job.** :func:`mine_df` runs the whole level loop in each task:
 :func:`repro.enumeration.gspan.mine_graphs`, which matches each level over
 the task's graphs with a :class:`ProjectedMatcher` and grows children from
-them. The matcher keeps each pattern's embeddings in the task's graphs for
-the next level, so a child is tried only in the graphs that hold its
-parent, by extending the parent's embeddings; no prefix is re-enumerated.
-Nothing crosses between tasks or reaches the driver until the loop is done,
-so it serves the enumerations that keep every pattern with support >= 1:
-ALL_g, ALL_t and OPT. Each task emits one row per pattern that occurs in
-its graphs, and one summary row:
+them. The matcher calls the same ``match_frontier``, but hands it each
+pattern's embeddings kept from the previous level, so a child is tried
+only in the graphs that hold its parent, by extending the parent's kept
+embeddings; no parent is re-enumerated. Nothing crosses between tasks or
+reaches the driver until the loop is done, so it serves the enumerations
+that keep every pattern with support >= 1: ALL_g, ALL_t and OPT. Each task
+emits one row per pattern that occurs in its graphs, and one summary row:
 
     (code: string, covered: array<long>, truncated: boolean,
      task: map<string, double>)
@@ -69,9 +66,10 @@ pyspark instead, which leaves no zip importer to re-read. With that, and
 before matching was shared by prefix, on the 1378-pattern level-3 frontier
 of aids_lite-100 on 4 cores (10 alternating rounds), 4 partitions took a
 median 0.60 s, 8 took 0.61 s and 16 took 0.66 s: 4 still has the lowest
-median, by at most 1.1x, where it was 1.5-2.3x before. A shuffle with an explicit partition count is also never
-coalesced by adaptive query execution, which folds a ``groupBy`` shuffle of
-this small table into a single task.
+median, by at most 1.1x, where it was 1.5-2.3x before. A shuffle with an
+explicit partition count is also never coalesced by adaptive query
+execution, which folds a ``groupBy`` shuffle of this small table into a
+single task.
 """
 from __future__ import annotations
 
@@ -95,14 +93,8 @@ from pyspark.sql.types import (
 
 from repro.graphdb.model import Graph, edge_key
 from repro.graphdb.spark_io import graphs_from_pandas
-from repro.isomorphism.dfscode import DFSCode, Edge5, code_to_graph, encode, rightmost_path
-from repro.isomorphism.matcher import (
-    Embedding,
-    FrontierChild,
-    match_child,
-    match_frontier,
-    prepare_frontier,
-)
+from repro.isomorphism.dfscode import DFSCode, Edge5, encode
+from repro.isomorphism.matcher import Kept, match_frontier
 
 LEVEL_SCHEMA = StructType(
     [
@@ -214,42 +206,39 @@ class ProjectedMatcher:
     with no Spark job. Between calls it keeps gSpan's projected database.
 
     A level asked for extensions keeps each pattern's embeddings in every
-    graph where it occurs, as ``(vmap, eids)`` lists, or None in a graph
-    where they reach the embedding cap. A code whose parent (``code[:-1]``)
-    the previous level kept is tried only in the graphs where the parent
-    occurs, by :func:`repro.isomorphism.matcher.match_child`: from the
-    parent's embeddings, or from the root where the parent was capped. Codes
-    with no kept parent, such as the 1-edge roots, are tried in every graph.
-    Each level's state replaces the previous one once the level is matched;
-    a level asked for no extensions (one at ``E_max``) keeps none.
-    ``pairs`` counts the (pattern, graph) pairs tried.
+    graph where it occurs, or None in a graph where they reach the
+    embedding cap, and passes them to the next level's
+    :func:`repro.isomorphism.matcher.match_frontier` as ``kept``: a code
+    whose parent (``code[:-1]``) the previous level kept is tried only in
+    the graphs where the parent occurs. Codes with no kept parent, such as
+    the 1-edge roots, are matched as in the level job. Each level's state
+    replaces the previous one once the level is matched; a level asked for
+    no extensions (one at ``E_max``) keeps none. ``pairs`` counts the
+    (pattern, graph) pairs a level routes: per code, the graphs holding its
+    kept parent, or every graph.
     """
 
     def __init__(self, graphs: list[Graph]) -> None:
         self.graphs = graphs
         self.pairs = 0
-        self._kept: dict[DFSCode, list[tuple[Graph, list[Embedding] | None]]] = {}
+        self._kept: Kept = {}
 
     def __call__(self, codes: list[DFSCode], want_extensions: bool) -> list[PatternLevelStats]:
-        everywhere = [(g, None) for g in self.graphs]
-        kept: dict[DFSCode, list[tuple[Graph, list[Embedding] | None]]] = {}
+        prev = self._kept
+        self.pairs += sum(len(prev.get(code[:-1], self.graphs)) for code in codes)
+        kept: Kept = {code: [] for code in codes} if want_extensions else {}
 
         def rows():
-            for pid, code in enumerate(codes):
-                child = FrontierChild(pid, code, code_to_graph(code), rightmost_path(code))
-                where = self._kept.get(code[:-1], everywhere)
-                self.pairs += len(where)
-                own = kept[code] = []
-                for g, parent_embs in where:
-                    ms, embs = match_child(child, parent_embs, g, want_extensions=want_extensions)
-                    if ms.n_embeddings:
-                        if want_extensions:
-                            own.append((g, embs))
-                        yield (pid, g.gid, [edge_key(g.gid, e) for e in ms.covered_eids],
-                               ms.extensions, ms.truncated)
+            for pid, g, ms, embs in match_frontier(
+                codes, self.graphs, want_extensions=want_extensions, kept=prev
+            ):
+                if want_extensions:
+                    kept[codes[pid]].append((g, embs))
+                yield (pid, g.gid, [edge_key(g.gid, e) for e in ms.covered_eids],
+                       ms.extensions, ms.truncated)
 
         level = _fold(codes, rows())
-        self._kept = kept if want_extensions else {}
+        self._kept = kept
         return level
 
 
@@ -265,10 +254,9 @@ def match_level_df(
     ``codes`` is the frontier, or a Spark broadcast of it that the caller
     destroys after collecting the rows; a plain list is broadcast here and
     the broadcast lives as long as the session. The bare codes are shipped
-    once per executor. Each task prepares the frontier once
-    (:func:`prepare_frontier`: grouped by prefix, each code and prefix
-    materialized as a pattern graph) and matches the whole frontier against
-    each graph of its partition.
+    once per executor. Each task matches the whole frontier against the
+    graphs of its partition with
+    :func:`repro.isomorphism.matcher.match_frontier`, keeping nothing.
     """
     bc = codes if isinstance(codes, Broadcast) else spark.sparkContext.broadcast(codes)
     want_ext = want_extensions
@@ -278,19 +266,16 @@ def match_level_df(
         graphs = _partition_graphs(batches)
         if not graphs:
             return
-        prepared = prepare_frontier(bc.value)
-        rows = []
-        for g in graphs:
-            for pid, ms in match_frontier(prepared, g, want_extensions=want_ext):
-                rows.append(
-                    (
-                        pid,
-                        g.gid,
-                        [edge_key(g.gid, e) for e in sorted(ms.covered_eids)],
-                        sorted(_encode_ext(e) for e in ms.extensions),
-                        ms.truncated,
-                    )
-                )
+        rows = [
+            (
+                pid,
+                g.gid,
+                [edge_key(g.gid, e) for e in sorted(ms.covered_eids)],
+                sorted(_encode_ext(e) for e in ms.extensions),
+                ms.truncated,
+            )
+            for pid, g, ms, _ in match_frontier(bc.value, graphs, want_extensions=want_ext)
+        ]
         if rows:
             yield pd.DataFrame(rows, columns=columns)
 

@@ -8,15 +8,18 @@ DFS-code pattern in a data graph, and derive from them
 
 Embeddings follow the code's own DFS order, so candidate vertices are always
 adjacent to the partial embedding — no global backtracking search is needed.
-:func:`match_stats` matches one pattern in one graph; :func:`match_frontier`
-matches a whole enumeration level in one graph, enumerating the embeddings
-of each shared parent (DFS-code prefix) once and extending them by each
-child's last entry. :func:`match_child` is that step for one child: it
-extends given parent embeddings, or matches from the root where they are
-missing or reach the cap, so its result always equals :func:`match_stats`.
-The tree job's level matcher
-(:class:`repro.enumeration.distributed.ProjectedMatcher`) calls it with
-embeddings kept from the previous level.
+:func:`match_stats` matches one pattern in one graph. :func:`match_frontier`
+matches a whole enumeration level in a list of graphs, and it is the one
+frontier matcher of both Spark jobs
+(:mod:`repro.enumeration.distributed`): it groups the level by parent
+(DFS-code prefix) and extends the parent's embeddings in each graph by each
+child's last entry, gSpan's projection. The level job's tasks enumerate
+each parent once per graph; the tree job's matcher
+(:class:`repro.enumeration.distributed.ProjectedMatcher`) passes in the
+embeddings it kept from the previous level. :func:`match_child` is the step
+for one child: it extends given parent embeddings, or matches from the root
+where they are missing or reach the cap, so its result always equals
+:func:`match_stats`.
 
 A per-(pattern, graph) embedding cap guards against pathological blowup on
 near-unlabeled graphs. It is a fixed policy of this module
@@ -81,10 +84,10 @@ def iter_embeddings(code: DFSCode, g: Graph, max_emb: int = DEFAULT_MAX_EMB):
     ``eids[t]`` the graph edge bound to code entry ``t``. The search is
     depth-first over partial embeddings, so which embeddings come first when
     the cap cuts it short depends only on ``code`` and ``g``. Callers:
-    :func:`match_stats` (with its cap), :func:`match_frontier` (for the
-    shared prefix of a group of children), :func:`match_child` (from the
-    root), :func:`contains` (first hit only) and the VQF step model, which
-    places patterns on edge-disjoint regions of a query.
+    :func:`match_stats` (with its cap), :func:`match_frontier` (for a parent
+    that is not kept, once per graph), :func:`match_child` (from the root),
+    :func:`contains` (first hit only) and the VQF step model, which places
+    patterns on edge-disjoint regions of a query.
     """
     i0, j0, l0, el0, l1 = code[0]
     count = 0
@@ -176,7 +179,7 @@ def match_stats(
 
 
 class FrontierChild(NamedTuple):
-    """One frontier pattern, prepared once per level task."""
+    """One frontier pattern, prepared once per :func:`match_frontier` call."""
 
     index: int          # position in the frontier
     code: DFSCode
@@ -184,39 +187,35 @@ class FrontierChild(NamedTuple):
     rmpath: list[int]   # ``rightmost_path(code)``
 
 
-class PrefixGroup(NamedTuple):
-    """The frontier patterns that share the DFS-code prefix ``code[:-1]``,
-    i.e. the rightmost-extension children of one parent."""
-
-    prefix: DFSCode        # ``()`` for 1-edge patterns
-    pattern: Graph | None  # ``code_to_graph(prefix)``; None for ``()``
-    children: list[FrontierChild]
+#: Where each pattern of a level occurs: per pattern, ``(graph, embeddings)``
+#: for every graph holding it, with the embeddings None where they reach
+#: :data:`DEFAULT_MAX_EMB`.
+Kept = dict[DFSCode, list[tuple[Graph, list[Embedding] | None]]]
 
 
-def prepare_frontier(codes: list[DFSCode]) -> list[PrefixGroup]:
-    """Group a frontier of equal-length or mixed codes by their prefix
-    ``code[:-1]``, in order of first appearance; children keep input order."""
-    groups: dict[DFSCode, list[FrontierChild]] = {}
-    for idx, code in enumerate(codes):
-        groups.setdefault(code[:-1], []).append(
-            FrontierChild(idx, code, code_to_graph(code), rightmost_path(code))
-        )
-    return [
-        PrefixGroup(prefix, code_to_graph(prefix) if prefix else None, children)
-        for prefix, children in groups.items()
-    ]
-
-
-def _prefix_states(group: PrefixGroup, g: Graph) -> list[Embedding] | None:
-    """Every embedding of the group's prefix in ``g``, or None when the
-    children must be matched from the root: 1-edge children (empty prefix),
-    or a prefix whose enumeration reaches :data:`DEFAULT_MAX_EMB`."""
-    if not group.prefix:
-        return None
-    if not g.could_contain(group.pattern):
-        return []
-    embs = list(islice(iter_embeddings(group.prefix, g), DEFAULT_MAX_EMB))
+def _complete(embeddings: Iterable[Embedding]) -> list[Embedding] | None:
+    """All of ``embeddings``, enumerated under the cap, or None if they
+    reach :data:`DEFAULT_MAX_EMB`: which ones survive the cap depends on the
+    search order, so a capped list is no base to extend."""
+    embs = list(islice(embeddings, DEFAULT_MAX_EMB))
     return None if len(embs) == DEFAULT_MAX_EMB else embs
+
+
+def _parent_embeddings(
+    parent: DFSCode, graphs: list[Graph]
+) -> Iterator[tuple[Graph, list[Embedding] | None]]:
+    """``(graph, embeddings)`` for every graph where ``parent`` occurs, its
+    embeddings enumerated once per graph; None for the empty parent (in
+    every graph) and where the parent is capped."""
+    if not parent:
+        yield from ((g, None) for g in graphs)
+        return
+    pattern = code_to_graph(parent)
+    for g in graphs:
+        if g.could_contain(pattern):
+            embs = _complete(iter_embeddings(parent, g))
+            if embs != []:
+                yield g, embs
 
 
 def match_child(
@@ -232,20 +231,14 @@ def match_child(
 
     Returns the :class:`MatchResult`, which equals ``match_stats(child.code,
     g)``, and the child's embeddings, or None when they reach
-    :data:`DEFAULT_MAX_EMB`. Which embeddings survive the cap depends on the
-    search order, so a child whose extension reaches the cap is matched from
-    the root too; and a parent capped in ``g`` must come as None, since its
-    embeddings are incomplete.
+    :data:`DEFAULT_MAX_EMB`. A child whose extension reaches the cap is
+    matched from the root too; and a parent capped in ``g`` must come as
+    None, since its embeddings are incomplete.
     """
     embs = None
     if parent_embs is not None:
         last = child.code[-1]
-        embs = list(islice(
-            (e for vmap, eids in parent_embs for e in _step(g, last, vmap, eids)),
-            DEFAULT_MAX_EMB,
-        ))
-        if len(embs) == DEFAULT_MAX_EMB:
-            embs = None
+        embs = _complete(e for vmap, eids in parent_embs for e in _step(g, last, vmap, eids))
     if embs is None:
         if not g.could_contain(child.pattern):
             return MatchResult(0, set(), set(), False), []
@@ -258,25 +251,40 @@ def match_child(
 
 
 def match_frontier(
-    prepared: list[PrefixGroup], g: Graph, *, want_extensions: bool = True
-) -> Iterator[tuple[int, MatchResult]]:
-    """Match a prepared frontier in ``g``; yield ``(index, MatchResult)`` for
-    every pattern with at least one embedding.
+    codes: list[DFSCode],
+    graphs: list[Graph],
+    *,
+    want_extensions: bool = True,
+    kept: Kept | None = None,
+) -> Iterator[tuple[int, Graph, MatchResult, list[Embedding] | None]]:
+    """Match a frontier in ``graphs``; yield ``(index, graph, MatchResult,
+    embeddings)`` for every (pattern, graph) pair with an embedding, the
+    embeddings as :func:`match_child` returns them.
 
-    The prefix of each group is enumerated once, and each child is matched
-    from the prefix embeddings by :func:`match_child`. No child of a prefix
-    without an embedding is looked at. Each result equals
-    ``match_stats(code, g)``: when the prefix or the child reaches the
-    embedding cap, that child is matched from the root.
+    The codes are grouped by parent (``code[:-1]``). A parent in ``kept`` is
+    taken as kept: only its graphs are tried, from its embeddings there.
+    Any other parent is enumerated once per graph, and the graphs where it
+    has no embedding are skipped. Each child is then matched by
+    :func:`match_child`, so each result equals ``match_stats(code, g)``:
+    where the parent or the child reaches the embedding cap, that child is
+    matched from the root.
     """
-    for group in prepared:
-        states = _prefix_states(group, g)
-        if states == []:
-            continue
-        for child in group.children:
-            ms, _ = match_child(child, states, g, want_extensions=want_extensions)
-            if ms.n_embeddings:
-                yield child.index, ms
+    groups: dict[DFSCode, list[int]] = {}
+    for idx, code in enumerate(codes):
+        groups.setdefault(code[:-1], []).append(idx)
+    for parent, indices in groups.items():
+        children = [
+            FrontierChild(i, codes[i], code_to_graph(codes[i]), rightmost_path(codes[i]))
+            for i in indices
+        ]
+        where = kept.get(parent) if kept else None
+        if where is None:
+            where = _parent_embeddings(parent, graphs)
+        for g, parent_embs in where:
+            for child in children:
+                ms, embs = match_child(child, parent_embs, g, want_extensions=want_extensions)
+                if ms.n_embeddings:
+                    yield child.index, g, ms, embs
 
 
 def contains(g: Graph, pattern_code: DFSCode) -> bool:

@@ -21,7 +21,7 @@ K, E_MAX = 3, 3
 
 class TestEnumerateCoverSets:
     def test_matches_bruteforce_sets(self, spark, tiny_mol_db, tiny_edges):
-        sets, stats = enumerate_cover_sets(spark, tiny_edges, e_max=2)
+        sets, stats, _ = enumerate_cover_sets(spark, tiny_edges, e_max=2)
         assert not stats.timed_out
         bf = distinct_patterns_bruteforce(tiny_mol_db, 2)
         assert len(sets) == len(bf)
@@ -35,14 +35,14 @@ class TestEnumerateCoverSets:
         assert set(sets.values()) == bf_covers
 
     def test_frequent_sets_subset(self, spark, tiny_edges):
-        all_sets, _ = enumerate_cover_sets(spark, tiny_edges, e_max=2)
-        freq_sets, _ = enumerate_cover_sets(spark, tiny_edges, e_max=2, min_support_frac=0.5)
+        all_sets, _, _ = enumerate_cover_sets(spark, tiny_edges, e_max=2)
+        freq_sets, _, _ = enumerate_cover_sets(spark, tiny_edges, e_max=2, min_support_frac=0.5)
         assert set(freq_sets) < set(all_sets)
 
 
 class TestAlgorithms:
     def test_all_g_equals_greedy_over_sets(self, spark, tiny_edges):
-        sets, _ = enumerate_cover_sets(spark, tiny_edges, e_max=E_MAX)
+        sets, _, _ = enumerate_cover_sets(spark, tiny_edges, e_max=E_MAX)
         _, cov = greedy_max_cover(sets, K)
         r = all_g(spark, tiny_edges, k=K, e_max=E_MAX)
         assert r.coverage == len(cov)

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import math
 import os
+import random
 
 import pytest
 from pyspark.sql import functions as F
@@ -26,7 +27,7 @@ from repro.isomorphism.bruteforce import (
     canonical_form_bruteforce,
     distinct_patterns_bruteforce,
 )
-from repro.isomorphism.dfscode import code_key, code_to_graph, min_code_of_graph
+from repro.isomorphism.dfscode import code_key, code_to_graph, is_min, min_code_of_graph
 from repro.isomorphism.matcher import match_stats
 from repro.maxcover.greedy import greedy_max_cover
 from repro.oracle import assert_equivalent
@@ -223,7 +224,7 @@ class TestTreeJob:
         run matches the driver loop's."""
         edges = request.getfixturevalue(db)
         expected, stats = driver_stream(spark, edges, e_max)
-        sets, tree_stats = enumerate_cover_sets(spark, edges, e_max=e_max)
+        sets, tree_stats, _ = enumerate_cover_sets(spark, edges, e_max=e_max)
         assert list(sets.items()) == expected
         assert stats.truncated is tree_stats.truncated is truncated
         assert tree_stats.n_visited == stats.n_visited and not tree_stats.timed_out
@@ -231,7 +232,7 @@ class TestTreeJob:
     @pytest.mark.parametrize("resplit", list(RESPLITS.values()), ids=list(RESPLITS))
     def test_input_split_changes_nothing(self, spark, tiny_edges, resplit):
         expected, _ = driver_stream(spark, tiny_edges, 3)
-        sets, _ = enumerate_cover_sets(spark, resplit(tiny_edges), e_max=3)
+        sets, _, _ = enumerate_cover_sets(spark, resplit(tiny_edges), e_max=3)
         assert list(sets.items()) == expected
 
     def test_one_partition_equals_one_per_core(self, spark, tiny_mol_db, tiny_edges):
@@ -335,6 +336,26 @@ class TestTreeJob:
             assert r.total_edges == sum(p["edges"] for p in r.extra["partitions"]) == total
         r = all_g(spark, edges, k=3, e_max=4, time_limit_s=0.0)
         assert r.timed_out and r.total_edges == total
+
+
+class TestProjectedMatcher:
+    def test_frontier_mixing_kept_and_unkept_parents(self, spark, tiny_mol_db, tiny_edges):
+        """After levels 1 and 2, a frontier that mixes level-3 children, whose
+        parents are kept, with level-2 codes, whose level-1 parents are no
+        longer kept, gives what a fresh matcher and the level job give."""
+        match = ProjectedMatcher(tiny_mol_db)
+        level1 = match(level1_codes(tiny_edges), True)
+        level2 = match(sorted({
+            ps.code + (e,) for ps in level1 for e in ps.extensions if is_min(ps.code + (e,))
+        }, key=code_key), True)
+        level3 = [ps.code + (e,) for ps in level2 for e in sorted(ps.extensions)]
+        mixed = level3[::4] + [ps.code for ps in level2[::2]]
+        random.Random(0).shuffle(mixed)
+        assert {len(c) for c in mixed} == {2, 3}
+        got = match(mixed, True)
+        assert all(ps.support for ps in got)
+        assert got == ProjectedMatcher(tiny_mol_db)(mixed, True)
+        assert got == match_level(spark, tiny_edges, mixed)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -22,7 +22,6 @@ from repro.isomorphism.matcher import (
     iter_embeddings,
     match_frontier,
     match_stats,
-    prepare_frontier,
 )
 from tests.helpers import random_connected_graph, tiny_db
 
@@ -156,17 +155,24 @@ class TestExtensions:
 def _assert_frontier_matches(codes, graphs):
     """``match_frontier`` yields exactly the non-empty (pattern, graph) pairs,
     each with the ``MatchResult`` that ``match_stats`` gives."""
-    prepared = prepare_frontier(codes)
     for want_ext in (True, False):
+        got = [
+            (i, g.gid, ms)
+            for i, g, ms, _ in match_frontier(codes, graphs, want_extensions=want_ext)
+        ]
+        expected = {}
         for g in graphs:
-            got = list(match_frontier(prepared, g, want_extensions=want_ext))
-            expected = {}
             for i, code in enumerate(codes):
                 ms = match_stats(code, g, want_extensions=want_ext)
                 if ms.n_embeddings:
-                    expected[i] = ms
-            assert len(got) == len(dict(got))  # each pattern at most once
-            assert dict(got) == expected
+                    expected[i, g.gid] = ms
+        assert len(got) == len({(i, gid) for i, gid, _ in got})  # each pair at most once
+        assert {(i, gid): ms for i, gid, ms in got} == expected
+
+
+def _results(codes, g):
+    """``(index, MatchResult)`` of every pattern with an embedding in ``g``."""
+    return [(i, ms) for i, _, ms, _ in match_frontier(codes, [g])]
 
 
 def _minimal_levels(graphs, e_max):
@@ -234,7 +240,7 @@ class TestMatchFrontier:
         codes = [PATH3 + (e,) for e in sorted(match_stats(PATH3, g).extensions)]
         _assert_frontier_matches(codes, [g])
         path4 = codes.index(PATH3 + ((3, 4, "C", "-", "C"),))
-        ms = dict(match_frontier(prepare_frontier(codes), g))[path4]
+        ms = dict(_results(codes, g))[path4]
         assert ms.truncated and ms.n_embeddings == DEFAULT_MAX_EMB
 
     def test_prefix_reaching_cap_matches_from_root(self):
@@ -244,7 +250,7 @@ class TestMatchFrontier:
         assert len(list(islice(iter_embeddings(PATH3, g), DEFAULT_MAX_EMB))) == DEFAULT_MAX_EMB
         codes = [PATH3 + (e,) for e in sorted(match_stats(PATH3, g).extensions)]
         _assert_frontier_matches(codes, [g])
-        assert all(ms.truncated for _, ms in match_frontier(prepare_frontier(codes), g))
+        assert all(ms.truncated for _, ms in _results(codes, g))
 
     def test_cap_keeps_match_stats_embeddings(self):
         """Which embeddings survive the cap depends on the search order, so
@@ -264,11 +270,11 @@ class TestMatchFrontier:
         cno = ((0, 1, "C", "-", "N"), (1, 2, "N", "-", "O"))
         codes = [cno, cno + ((0, 3, "C", "-", "S"),)]
         _assert_frontier_matches(codes, [g])
-        got = dict(match_frontier(prepare_frontier(codes), g))
+        got = dict(_results(codes, g))
         assert got[0].truncated and got[1].n_embeddings == 1
 
     def test_one_edge_frontier(self):
         tri = make_graph(0, ["C", "C", "N"], [(0, 1), (1, 2), (0, 2)])
         codes = [((0, 1, "C", "-", "C"),), ((0, 1, "C", "-", "N"),), ((0, 1, "C", "-", "O"),)]
         _assert_frontier_matches(codes, [tri])
-        assert [i for i, _ in match_frontier(prepare_frontier(codes), tri)] == [0, 1]
+        assert [i for i, _ in _results(codes, tri)] == [0, 1]

@@ -45,3 +45,34 @@ def test_level_job_sites_keep_their_shape():
     params = inspect.signature(distributed.match_level).parameters
     assert list(params) == ["spark", "edges", "codes", "want_extensions"]
     assert params["want_extensions"].kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def test_level_job_rows_are_the_nonempty_pairs(spark, tiny_edges, clique_edges):
+    """The tracer checks the rows of ``match_level_df(...).toPandas()``
+    against a serial ``match_stats`` replay: one row per (pattern, graph)
+    pair with an embedding, none for the others and none twice. Checked on
+    level-1 codes plus their children, and on the 7-clique's 3- and 4-edge
+    paths, of which the 4-edge one hits the embedding cap."""
+    from repro.enumeration.distributed import match_level, match_level_df
+    from repro.enumeration.gspan import level1_codes
+    from repro.graphdb.spark_io import graphs_from_pandas
+    from repro.isomorphism.matcher import match_stats
+
+    l1 = level1_codes(tiny_edges)
+    two_levels = l1 + [
+        ps.code + (e,) for ps in match_level(spark, tiny_edges, l1) for e in sorted(ps.extensions)
+    ]
+    path = tuple((i, i + 1, "C", "-", "C") for i in range(4))
+    for edges, codes in ((tiny_edges, two_levels), (clique_edges, [path[:3], path])):
+        graphs = graphs_from_pandas(edges.toPandas())
+        expected = {
+            (pid, g.gid)
+            for pid, code in enumerate(codes)
+            for g in graphs
+            if match_stats(code, g, want_extensions=False).n_embeddings
+        }
+        for want_extensions in (True, False):
+            pdf = match_level_df(spark, edges, codes, want_extensions=want_extensions).toPandas()
+            rows = list(zip(pdf["pattern_id"].tolist(), pdf["graph_id"].tolist()))
+            assert len(rows) == len(set(rows))
+            assert set(rows) == expected
