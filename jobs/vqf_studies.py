@@ -27,7 +27,7 @@ from repro.core.ted import ted  # noqa: E402
 from repro.enumeration.distributed import match_level  # noqa: E402
 from repro.graphdb.generator import molecule_db  # noqa: E402
 from repro.graphdb.model import Graph  # noqa: E402
-from repro.graphdb.spark_io import to_edges_df  # noqa: E402
+from repro.graphdb.spark_io import GraphDB, to_edges_df  # noqa: E402
 from repro.isomorphism.dfscode import DFSCode, encode  # noqa: E402
 from repro.vqf.catapult import catapult_lite  # noqa: E402
 from repro.vqf.fs import top_k_frequent  # noqa: E402
@@ -123,10 +123,11 @@ def table6_vqf(spark, setups: list[VqfSetup]) -> list[dict]:
     for s in setups:
         n_db = len(s.db)
         union = list(dict.fromkeys(c for codes in s.pattern_sets.values() for c in codes))
-        support = {
-            ps.code: ps.support
-            for ps in match_level(spark, s.edges, union, want_extensions=False)
-        }
+        with GraphDB.build(s.edges) as db:
+            support = {
+                ps.code: ps.support
+                for ps in match_level(spark, db, union, want_extensions=False)
+            }
         for qi, q in enumerate(s.queries, 1):
             row = {"dataset": s.dataset, "query": f"Q{qi}", "|E(Q)|": q.n_edges}
             for name, codes in s.pattern_sets.items():

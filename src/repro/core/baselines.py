@@ -10,17 +10,17 @@ solves max-k-cover optimally (Figure 13's OPT) — small databases only.
 Where S is mined depends on the support threshold. ALL_g, ALL_t and OPT
 keep every pattern with support >= 1, so one Spark job mines the whole
 pattern tree: each task runs the level loop over its own graphs
-(:func:`repro.enumeration.distributed.mine_df`), and the driver merges the
+(:func:`repro.enumeration.distributed.mine_tree`), and the driver merges the
 covers per pattern and orders S as the driver loop streams it. FSG's
 threshold needs database-wide support between levels, so FSG keeps the
 driver loop (:func:`repro.enumeration.gspan.enumerate_gspan`), one job per
-level. The tracer sees no level job of the tree job, so ALL_g, ALL_t and
-OPT report its phases and per-task counters in ``AlgoResult.extra``.
+level over the call's :class:`repro.graphdb.spark_io.GraphDB`. The tracer
+sees no level job of the tree job, so ALL_g, ALL_t and OPT report its
+phases and per-task counters in ``AlgoResult.extra``.
 
 The database's edge total (``AlgoResult.total_edges``) comes from the tree
-job too: each task counts its graphs' edges in its summary row. FSG, which
-runs no tree job, scans the edge table for it with
-:func:`repro.graphdb.spark_io.per_graph_edge_counts`.
+job too: each task counts its graphs' edges. FSG reads it from its handle
+with :func:`repro.graphdb.spark_io.per_graph_edge_counts`.
 """
 from __future__ import annotations
 
@@ -30,16 +30,16 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.maintain import PatternMaintainer
 from repro.core.result import AlgoResult
-from repro.enumeration.distributed import TASK_COUNTERS, mine_df
+from repro.enumeration.distributed import mine_tree
 from repro.enumeration.gspan import EnumStats, enumerate_gspan
-from repro.graphdb.spark_io import per_graph_edge_counts
-from repro.isomorphism.dfscode import DFSCode, code_key, decode
+from repro.graphdb.spark_io import GraphDB, per_graph_edge_counts
+from repro.isomorphism.dfscode import DFSCode, code_key
 from repro.maxcover.exact import exact_max_cover
 from repro.maxcover.greedy import greedy_max_cover
 
 
 def _mine_tree(
-    spark: SparkSession, edges: DataFrame, *, e_max: int, time_limit_s: float | None
+    edges: DataFrame, *, e_max: int, time_limit_s: float | None
 ) -> tuple[dict[DFSCode, frozenset[int]], EnumStats, dict]:
     """S from the tree job: each pattern's cover merged over the tasks, in
     stream order ``(len(code), code_key(code))``. The counters are summed
@@ -49,18 +49,15 @@ def _mine_tree(
     the database's edge total, the job and merge times and one counter dict
     per non-empty task."""
     t0 = time.perf_counter()
-    pdf = mine_df(spark, edges, e_max=e_max, time_limit_s=time_limit_s).toPandas()
+    results = mine_tree(edges, e_max=e_max, time_limit_s=time_limit_s)
     t1 = time.perf_counter()
-    covers: dict[str, list[int]] = {}
-    tasks: list[dict] = []
-    for code, covered, task in zip(pdf["code"], pdf["covered"], pdf["task"]):
-        if code is None:
-            tasks.append({k: round(task[k], 4) if k == "task_s" else int(task[k])
-                          for k in TASK_COUNTERS})
-        else:
-            covers.setdefault(code, []).extend(covered.tolist())
-    order = sorted(((decode(s), s) for s in covers), key=lambda t: (len(t[0]), code_key(t[0])))
-    sets = {code: frozenset(covers[s]) for code, s in order}
+    covers: dict[DFSCode, set[int]] = {}
+    for found, _ in results:
+        for code, cover in found:
+            covers.setdefault(code, set()).update(cover)
+    sets = {code: frozenset(covers[code])
+            for code in sorted(covers, key=lambda c: (len(c), code_key(c)))}
+    tasks = [counters for _, counters in results]
     stats = EnumStats(
         n_matched=sum(t["patterns"] for t in tasks),
         n_visited=len(sets),
@@ -68,11 +65,12 @@ def _mine_tree(
         n_is_min=sum(t["is_min_calls"] for t in tasks),
         levels=max((t["levels"] for t in tasks), default=0),
         timed_out=any(t["timed_out"] for t in tasks),
-        truncated=bool(pdf["truncated"].any()),
+        truncated=any(t["truncated"] for t in tasks),
         peak_frontier=max((t["peak_frontier"] for t in tasks), default=0),
     )
-    report = {"edges": sum(t["edges"] for t in tasks), "mining_s": t1 - t0,
-              "merge_s": time.perf_counter() - t1, "partitions": tasks}
+    report = {"edges": sum(t["edges"] for t in tasks),
+              "phases": {"mining_s": t1 - t0, "merge_s": time.perf_counter() - t1},
+              "partitions": tasks}
     return sets, stats, report
 
 
@@ -83,26 +81,30 @@ def enumerate_cover_sets(
     e_max: int,
     min_support_frac: float = 0.0,
     time_limit_s: float | None = None,
-) -> tuple[dict[DFSCode, frozenset[int]], EnumStats, dict | None]:
+) -> tuple[dict[DFSCode, frozenset[int]], EnumStats, dict]:
     """Materialize S (Algorithm 1 line 1 / Algorithm 2 line 1): every
     enumerated pattern's cover set, in DFS-code stream order. Returns
     ``(sets, stats, report)``; ``stats`` says whether the enumeration timed
-    out or hit the embedding cap. With ``min_support_frac == 0`` S is mined
-    by the tree job and ``report`` is its report (see :func:`_mine_tree`),
-    else by the driver loop, whose level jobs the tracer sees, and
-    ``report`` is None (see the module docstring)."""
+    out or hit the embedding cap, and ``report`` holds the database's edge
+    total (``edges``) plus what the run reports in ``AlgoResult.extra``.
+    With ``min_support_frac == 0`` S is mined by the tree job (see
+    :func:`_mine_tree`), else by the driver loop over a :class:`GraphDB`
+    built for the call, whose level jobs the tracer sees, and the report
+    holds the handle's build time (``handle_s``)."""
     if min_support_frac == 0:
-        return _mine_tree(spark, edges, e_max=e_max, time_limit_s=time_limit_s)
+        return _mine_tree(edges, e_max=e_max, time_limit_s=time_limit_s)
     sets: dict[DFSCode, frozenset[int]] = {}
-    stats = enumerate_gspan(
-        spark,
-        edges,
-        e_max=e_max,
-        min_support_frac=min_support_frac,
-        visitor=lambda ps: sets.__setitem__(ps.code, ps.cover),
-        time_limit_s=time_limit_s,
-    )
-    return sets, stats, None
+    with GraphDB.build(edges) as db:
+        stats = enumerate_gspan(
+            spark,
+            db,
+            e_max=e_max,
+            min_support_frac=min_support_frac,
+            visitor=lambda ps: sets.__setitem__(ps.code, ps.cover),
+            time_limit_s=time_limit_s,
+        )
+    return sets, stats, {"edges": sum(per_graph_edge_counts(db).values()),
+                         "handle_s": db.build_s}
 
 
 def _candidate_bytes(sets: dict[DFSCode, frozenset[int]]) -> int:
@@ -131,10 +133,7 @@ def _run_materialized(
         min_support_frac=min_support_frac,
         time_limit_s=time_limit_s,
     )
-    if report is None:
-        total_edges = sum(per_graph_edge_counts(edges).values())
-    else:
-        total_edges = report["edges"]
+    total_edges = report.pop("edges")
     t_select = time.perf_counter()
     index_time = 0.0
     index_bytes = 0
@@ -165,14 +164,10 @@ def _run_materialized(
         # matched per task, and non-minimal children rejected per task.
         "n_matched": enum_stats.n_matched,
         "n_children_nonmin": enum_stats.n_children_nonmin,
+        **report,
     }
-    if report is not None:
-        extra["phases"] = {
-            "mining_s": report["mining_s"],
-            "merge_s": report["merge_s"],
-            "selection_s": t_end - t_select,
-        }
-        extra["partitions"] = report["partitions"]
+    if "phases" in extra:
+        extra["phases"]["selection_s"] = t_end - t_select
     return AlgoResult(
         name=name,
         patterns=list(chosen),

@@ -26,7 +26,7 @@ from repro.core.maintain import PatternMaintainer
 from repro.core.result import AlgoResult
 from repro.enumeration.distributed import PatternLevelStats, match_level
 from repro.enumeration.gspan import enumerate_gspan, level1_codes
-from repro.graphdb.spark_io import per_graph_edge_counts
+from repro.graphdb.spark_io import GraphDB, per_graph_edge_counts
 from repro.isomorphism.dfscode import DFSCode, code_key, is_min
 
 VARIANTS = ("base", "prm", "ips", "ted")
@@ -34,13 +34,12 @@ VARIANTS = ("base", "prm", "ips", "ted")
 
 def ips_initial_patterns(
     spark: SparkSession,
-    edges: DataFrame,
+    db: GraphDB,
     *,
     k: int,
     e_max: int,
     e_min: int = 1,
     matched: dict[DFSCode, PatternLevelStats] | None = None,
-    roots: list[DFSCode] | None = None,
 ) -> list[tuple[DFSCode, frozenset[int]]]:
     """Initial Pattern Selection (Section 5.2).
 
@@ -50,13 +49,9 @@ def ips_initial_patterns(
     Returns the top-k chain results by coverage as (code, cover) pairs.
     Every stats entry the jobs return is also stored in ``matched`` by code,
     so the enumeration that follows need not match those patterns again.
-    ``roots`` is :func:`level1_codes` of ``edges`` when the caller already
-    has it; by default the edge table is scanned for it.
     """
     matched = {} if matched is None else matched
-    if roots is None:
-        roots = level1_codes(edges)
-    root_stats = match_level(spark, edges, roots, want_extensions=e_max > 1)
+    root_stats = match_level(spark, db, level1_codes(db), want_extensions=e_max > 1)
     matched.update((ps.code, ps) for ps in root_stats)
     # chain state: (current stats, done?)
     chains: list[PatternLevelStats] = [ps for ps in root_stats if ps.support > 0]
@@ -76,7 +71,7 @@ def ips_initial_patterns(
             settled.extend(active)
             break
         child_stats = match_level(
-            spark, edges, cand_codes,
+            spark, db, cand_codes,
             want_extensions=any(len(c) < e_max for c in cand_codes),
         )
         matched.update((cs.code, cs) for cs in child_stats)
@@ -140,55 +135,53 @@ def ted(
     use_ips = variant in ("ips", "ted")
     t0 = time.perf_counter()
 
-    edge_counts = per_graph_edge_counts(edges)
-    total_edges = sum(edge_counts.values())
-    maintainer = PatternMaintainer(k=k, alpha=alpha)
-    matched: dict[DFSCode, PatternLevelStats] = {}  # IPS's stats, reused by the enumeration
-    roots = level1_codes(edges)  # one scan, shared by IPS and the enumeration
+    with GraphDB.build(edges) as db:
+        edge_counts = per_graph_edge_counts(db)
+        maintainer = PatternMaintainer(k=k, alpha=alpha)
+        matched: dict[DFSCode, PatternLevelStats] = {}  # IPS's stats, reused by the enumeration
 
-    if use_ips:
-        for code, cover in ips_initial_patterns(
-            spark, edges, k=k, e_max=e_max, e_min=e_min, matched=matched, roots=roots,
-        ):
-            maintainer.offer(code, cover)
-    # read before the enumeration pops entries, so IPS-only patterns count too
-    ips_truncated = any(ps.truncated for ps in matched.values())
+        if use_ips:
+            for code, cover in ips_initial_patterns(
+                spark, db, k=k, e_max=e_max, e_min=e_min, matched=matched,
+            ):
+                maintainer.offer(code, cover)
+        # read before the enumeration pops entries, so IPS-only patterns count too
+        ips_truncated = any(ps.truncated for ps in matched.values())
 
-    def visitor(ps: PatternLevelStats) -> None:
-        if len(ps.code) < e_min:  # below the pattern budget's MinE
-            return
-        if ps.code in maintainer:  # already in P (seeded by IPS)
-            return
-        maintainer.offer(ps.code, ps.cover)
+        def visitor(ps: PatternLevelStats) -> None:
+            if len(ps.code) < e_min:  # below the pattern budget's MinE
+                return
+            if ps.code in maintainer:  # already in P (seeded by IPS)
+                return
+            maintainer.offer(ps.code, ps.cover)
 
-    def prm_filter(ps: PatternLevelStats) -> bool:
-        # Definition 7: extend only if even covering every currently
-        # uncovered edge of the graphs containing g could beat the swap
-        # threshold. Before P is full there is no threshold — always extend.
-        if len(maintainer) < k:
-            return True
-        covered = maintainer.index.covered_per_graph
-        bound = sum(edge_counts[g] - covered.get(g, 0) for g in ps.support_gids)
-        return bound >= maintainer.swap_threshold()
+        def prm_filter(ps: PatternLevelStats) -> bool:
+            # Definition 7: extend only if even covering every currently
+            # uncovered edge of the graphs containing g could beat the swap
+            # threshold. Before P is full there is no threshold — always extend.
+            if len(maintainer) < k:
+                return True
+            covered = maintainer.index.covered_per_graph
+            bound = sum(edge_counts[g] - covered.get(g, 0) for g in ps.support_gids)
+            return bound >= maintainer.swap_threshold()
 
-    enum_stats = enumerate_gspan(
-        spark,
-        edges,
-        e_max=e_max,
-        min_support_frac=0.0,
-        visitor=visitor,
-        extend_filter=prm_filter if use_prm else None,
-        time_limit_s=time_limit_s,
-        matched=matched,
-        roots=roots,
-    )
+        enum_stats = enumerate_gspan(
+            spark,
+            db,
+            e_max=e_max,
+            min_support_frac=0.0,
+            visitor=visitor,
+            extend_filter=prm_filter if use_prm else None,
+            time_limit_s=time_limit_s,
+            matched=matched,
+        )
     elapsed = time.perf_counter() - t0
     idx = maintainer.index
     return AlgoResult(
         name={"base": "BASE", "prm": "PRM", "ips": "IPS", "ted": "TED"}[variant],
         patterns=maintainer.patterns,
         coverage=idx.cov_total,
-        total_edges=total_edges,
+        total_edges=sum(edge_counts.values()),
         elapsed_s=elapsed,
         timed_out=enum_stats.timed_out,
         truncated=ips_truncated or enum_stats.truncated,
@@ -205,6 +198,7 @@ def ted(
             "peak_frontier": enum_stats.peak_frontier,
             "n_matched": enum_stats.n_matched,
             "n_children_nonmin": enum_stats.n_children_nonmin,
+            "handle_s": db.build_s,
         },
     )
 

@@ -1,11 +1,14 @@
-"""Spark jobs over the graph-partitioned edge table: one enumeration level
-(:func:`match_level`), or a whole pattern tree (:func:`mine_df`).
+"""Spark jobs over a graph database's graphs: one enumeration level
+(:func:`match_level`), or a whole pattern tree (:func:`mine_tree`).
 
-Both jobs hash the edge table on ``graph_id`` into ``defaultParallelism``
-partitions, so every graph lies in exactly one partition, and run one
-``mapInPandas`` task per partition. Each task shares one prologue
-(:func:`_partition_graphs`): it concatenates its partition's Arrow batches
-and rebuilds those graphs once. A partition with no rows emits nothing.
+Both jobs run one task per partition of
+:func:`repro.graphdb.spark_io.graph_rdd`: the edge table hashed on
+``graph_id`` into ``defaultParallelism`` partitions and rebuilt into
+:class:`Graph` objects, so every graph lies whole in one partition. The
+level jobs of a discovery call read the call's
+:class:`repro.graphdb.spark_io.GraphDB`, which caches that RDD, so no level
+job shuffles the edge table or rebuilds a graph. A partition with no graphs
+emits nothing.
 
 **The level job.** The frontier (a list of DFS codes) is broadcast as the
 bare codes, and each task matches it against its graphs with
@@ -21,7 +24,8 @@ between levels. Preparing the frontier in the tasks rather than on the
 driver keeps the pattern graphs out of the broadcast: the 5150 codes of
 level 4 on aids_lite-100 pickle to 175 KB and unpickle in about 2 ms, where
 the prepared frontier took 774 KB and about 60 ms, on one core of a 4-vCPU
-VM. The job emits one row per (pattern, graph) with embeddings:
+VM. The job is a DataFrame over the tasks' rows, one row per (pattern,
+graph) with embeddings:
 
     (pattern_id, graph_id, covered: array<long>, exts: array<string>,
      truncated: boolean)
@@ -35,7 +39,7 @@ swapping stream). :func:`match_level` owns the level's broadcast and
 destroys it once the rows are collected, so its file in the session's
 temporary directory does not outlive the level.
 
-**The tree job.** :func:`mine_df` runs the whole level loop in each task:
+**The tree job.** :func:`mine_tree` runs the whole level loop in each task:
 :func:`repro.enumeration.gspan.mine_graphs`, which matches each level over
 the task's graphs with a :class:`ProjectedMatcher` and grows children from
 them. The matcher calls the same ``match_frontier``, but hands it each
@@ -44,18 +48,13 @@ only in the graphs that hold its parent, by extending the parent's kept
 embeddings; no parent is re-enumerated. Nothing crosses between tasks or
 reaches the driver until the loop is done, so it serves the enumerations
 that keep every pattern with support >= 1: ALL_g, ALL_t and OPT. Each task
-emits one row per pattern that occurs in its graphs, and one summary row:
-
-    (code: string, covered: array<long>, truncated: boolean,
-     task: map<string, double>)
-
-``code`` is :func:`repro.isomorphism.dfscode.encode` of the pattern and
-null on the summary row; ``covered`` is the pattern's cover over the
-task's graphs as global edge keys; ``task`` is null on pattern rows and
-holds the task's counters on the summary row (see :data:`TASK_COUNTERS`),
-among them its graphs' edge count, which the driver sums into the
-database's edge total. Covers are disjoint across partitions, so the driver
-merges them by union.
+returns the ``(code, cover)`` of every pattern that occurs in its graphs,
+the cover as global edge keys over those graphs, and its counters (see
+:data:`TASK_COUNTERS`), among them its graphs' edge count, which the
+driver sums into the database's edge total. Covers are disjoint across
+partitions, so the driver merges them by union. The job is one pass over
+the graphs, so it reads the uncached :func:`graph_rdd`: caching it would
+add a job and gain nothing.
 
 The partition count is ``defaultParallelism`` (one task per core), not more.
 Each Python task has a fixed cost. It used to be 0.1-0.3 s, because PySpark's
@@ -66,10 +65,7 @@ pyspark instead, which leaves no zip importer to re-read. With that, and
 before matching was shared by prefix, on the 1378-pattern level-3 frontier
 of aids_lite-100 on 4 cores (10 alternating rounds), 4 partitions took a
 median 0.60 s, 8 took 0.61 s and 16 took 0.66 s: 4 still has the lowest
-median, by at most 1.1x, where it was 1.5-2.3x before. A shuffle with an
-explicit partition count is also never coalesced by adaptive query
-execution, which folds a ``groupBy`` shuffle of this small table into a
-single task.
+median, by at most 1.1x, where it was 1.5-2.3x before.
 """
 from __future__ import annotations
 
@@ -77,23 +73,20 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import pandas as pd
 from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import (
     ArrayType,
     BooleanType,
-    DoubleType,
     LongType,
-    MapType,
     StringType,
     StructField,
     StructType,
 )
 
 from repro.graphdb.model import Graph, edge_key
-from repro.graphdb.spark_io import graphs_from_pandas
-from repro.isomorphism.dfscode import DFSCode, Edge5, encode
+from repro.graphdb.spark_io import GraphDB, graph_rdd
+from repro.isomorphism.dfscode import DFSCode, Edge5
 from repro.isomorphism.matcher import Kept, match_frontier
 
 LEVEL_SCHEMA = StructType(
@@ -106,20 +99,11 @@ LEVEL_SCHEMA = StructType(
     ]
 )
 
-MINE_SCHEMA = StructType(
-    [
-        StructField("code", StringType(), True),
-        StructField("covered", ArrayType(LongType(), False), False),
-        StructField("truncated", BooleanType(), False),
-        StructField("task", MapType(StringType(), DoubleType(), False), True),
-    ]
-)
-
-#: Keys of a tree-job task's summary row, in report order.
+#: Keys of a tree-job task's counters, in report order.
 TASK_COUNTERS = (
     "graphs",              # graphs in the partition
     "edges",               # edges of those graphs
-    "patterns",            # pattern rows emitted
+    "patterns",            # patterns returned
     "pairs",               # (pattern, graph) pairs the loop tried
     "levels",              # levels the loop ran
     "is_min_calls",        # extensions checked by ``is_min``
@@ -157,18 +141,6 @@ def _encode_ext(e: Edge5) -> str:
 def _decode_ext(s: str) -> Edge5:
     i, j, li, el, lj = s.split(",")
     return (int(i), int(j), li, el, lj)
-
-
-def _by_graph(spark: SparkSession, edges: DataFrame) -> DataFrame:
-    """The edge table hashed on ``graph_id`` into one partition per core."""
-    return edges.repartition(spark.sparkContext.defaultParallelism, "graph_id")
-
-
-def _partition_graphs(batches: Iterator[pd.DataFrame]) -> list[Graph]:
-    """The task prologue: every graph of one partition, rebuilt once. A
-    graph never leaves its partition but may be split across batches."""
-    parts = list(batches)
-    return graphs_from_pandas(pd.concat(parts, ignore_index=True)) if parts else []
 
 
 def _fold(
@@ -244,7 +216,7 @@ class ProjectedMatcher:
 
 def match_level_df(
     spark: SparkSession,
-    edges: DataFrame,
+    db: GraphDB,
     codes: list[DFSCode] | Broadcast,
     *,
     want_extensions: bool = True,
@@ -255,41 +227,34 @@ def match_level_df(
     destroys after collecting the rows; a plain list is broadcast here and
     the broadcast lives as long as the session. The bare codes are shipped
     once per executor. Each task matches the whole frontier against the
-    graphs of its partition with
+    graphs of its partition of ``db.graphs`` with
     :func:`repro.isomorphism.matcher.match_frontier`, keeping nothing.
     """
     bc = codes if isinstance(codes, Broadcast) else spark.sparkContext.broadcast(codes)
     want_ext = want_extensions
-    columns = [f.name for f in LEVEL_SCHEMA.fields]
 
-    def run_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        graphs = _partition_graphs(batches)
-        if not graphs:
-            return
-        rows = [
-            (
+    def run_partition(graphs: Iterator[Graph]) -> Iterator[tuple]:
+        for pid, g, ms, _ in match_frontier(bc.value, list(graphs), want_extensions=want_ext):
+            yield (
                 pid,
                 g.gid,
                 [edge_key(g.gid, e) for e in sorted(ms.covered_eids)],
                 sorted(_encode_ext(e) for e in ms.extensions),
                 ms.truncated,
             )
-            for pid, g, ms, _ in match_frontier(bc.value, graphs, want_extensions=want_ext)
-        ]
-        if rows:
-            yield pd.DataFrame(rows, columns=columns)
 
-    return _by_graph(spark, edges).mapInPandas(run_partition, LEVEL_SCHEMA)
+    return spark.createDataFrame(db.graphs.mapPartitions(run_partition), LEVEL_SCHEMA)
 
 
 def match_level(
     spark: SparkSession,
-    edges: DataFrame,
+    edges: GraphDB,
     codes: list[DFSCode],
     *,
     want_extensions: bool = True,
 ) -> list[PatternLevelStats]:
-    """Run the level job and fold rows into per-pattern aggregates.
+    """Run the level job over the database ``edges`` (a :class:`GraphDB`)
+    and fold its rows into per-pattern aggregates.
 
     Returns one entry per input code, in input order (patterns with zero
     support get empty aggregates). The frontier's broadcast is destroyed
@@ -320,36 +285,30 @@ def match_level(
     ))
 
 
-def mine_df(
-    spark: SparkSession,
+def mine_tree(
     edges: DataFrame,
     *,
     e_max: int,
     time_limit_s: float | None = None,
-) -> DataFrame:
-    """The tree job as a lazy DataFrame (schema :data:`MINE_SCHEMA`): each
-    task runs :func:`repro.enumeration.gspan.mine_graphs` over its graphs
-    and emits one row per pattern found, then its summary row. Each task
-    stops between its own levels once ``time_limit_s`` has passed since
-    the task started."""
-    columns = [f.name for f in MINE_SCHEMA.fields]
+) -> list[tuple[list[tuple[DFSCode, frozenset[int]]], dict]]:
+    """Run the tree job over the edge table: each task runs
+    :func:`repro.enumeration.gspan.mine_graphs` over its graphs and returns
+    ``(code, cover)`` per pattern found and its :data:`TASK_COUNTERS`.
+    Returns one such pair per non-empty task. Each task stops between its
+    own levels once ``time_limit_s`` has passed since the task started."""
 
-    def run_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def run_partition(graphs_in: Iterator[Graph]) -> Iterator[tuple]:
         from repro.enumeration.gspan import mine_graphs  # gspan imports this module
 
-        graphs = _partition_graphs(batches)
+        graphs = list(graphs_in)
         if not graphs:
             return
         t0 = time.perf_counter()
         match = ProjectedMatcher(graphs)
         found, st = mine_graphs(graphs, e_max=e_max, time_limit_s=time_limit_s, matcher=match)
-        rows: list[tuple] = [
-            (encode(ps.code), sorted(ps.cover), ps.truncated, None) for ps in found
-        ]
         counters = (len(graphs), sum(g.n_edges for g in graphs), len(found), match.pairs,
                     st.levels, st.n_is_min, st.n_children_nonmin, st.peak_frontier,
-                    st.truncated, st.timed_out, time.perf_counter() - t0)
-        rows.append((None, [], st.truncated, dict(zip(TASK_COUNTERS, map(float, counters)))))
-        yield pd.DataFrame(rows, columns=columns)
+                    int(st.truncated), int(st.timed_out), round(time.perf_counter() - t0, 4))
+        yield [(ps.code, ps.cover) for ps in found], dict(zip(TASK_COUNTERS, counters))
 
-    return _by_graph(spark, edges).mapInPandas(run_partition, MINE_SCHEMA)
+    return graph_rdd(edges).mapPartitions(run_partition).collect()

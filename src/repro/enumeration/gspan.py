@@ -9,8 +9,9 @@ optional ``extend_filter`` (TED's PRM rules). How a level is matched is its
 parameter:
 
 - :func:`enumerate_gspan` runs the loop on the driver, and each level is one
-  Spark job over the whole database
-  (:func:`repro.enumeration.distributed.match_level`). TED and FSG use it:
+  Spark job over the whole database's graph-resident handle
+  (:func:`repro.enumeration.distributed.match_level` on a
+  :class:`repro.graphdb.spark_io.GraphDB`). TED and FSG use it:
   PRM needs the global pattern set P, and FSG's threshold needs
   database-wide support, between every two levels.
 - :func:`mine_graphs` runs the loop over the graphs one process holds. Its
@@ -19,20 +20,20 @@ parameter:
   projected database, so a child is only looked for where its parent
   occurs. With no threshold and no filter, no decision waits for the rest
   of the database, so the materializing baselines run it inside the tasks
-  of one Spark job (:func:`repro.enumeration.distributed.mine_df`).
+  of one Spark job (:func:`repro.enumeration.distributed.mine_tree`).
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 from repro.enumeration.distributed import PatternLevelStats, ProjectedMatcher, match_level
 from repro.graphdb.model import Graph
+from repro.graphdb.spark_io import GraphDB
 from repro.isomorphism.dfscode import DFSCode, code_key, is_min
 
 #: Matches one level: ``(codes, want_extensions)`` -> one
@@ -40,18 +41,15 @@ from repro.isomorphism.dfscode import DFSCode, code_key, is_min
 LevelMatcher = Callable[[list[DFSCode], bool], list[PatternLevelStats]]
 
 
-def level1_codes(edges: DataFrame) -> list[DFSCode]:
-    """All distinct 1-edge patterns, from one distinct-scan over the edge
-    table (labels normalized so ``li <= lj`` — the minimal orientation)."""
-    rows = (
-        edges.select(
-            F.least("ul", "vl").alias("a"), F.col("el"), F.greatest("ul", "vl").alias("b")
-        )
-        .distinct()
-        .collect()
-    )
-    codes = [((0, 1, r["a"], r["el"], r["b"]),) for r in rows]
-    return sorted(codes, key=code_key)
+def _roots(triples: Iterable[tuple[str, str, str]]) -> list[DFSCode]:
+    """The 1-edge codes of normalized ``(li, el, lj)`` edge-label triples
+    (``li <= lj``, the minimal orientation), in canonical order."""
+    return sorted((((0, 1, a, el, b),) for a, el, b in triples), key=code_key)
+
+
+def level1_codes(db: GraphDB) -> list[DFSCode]:
+    """All distinct 1-edge patterns of the database, read from its handle."""
+    return _roots(db.triples)
 
 
 @dataclass
@@ -149,7 +147,7 @@ def level_loop(
 
 def enumerate_gspan(
     spark: SparkSession,
-    edges: DataFrame,
+    db: GraphDB,
     *,
     e_max: int,
     min_support_frac: float = 0.0,
@@ -157,22 +155,19 @@ def enumerate_gspan(
     extend_filter: Callable[[PatternLevelStats], bool] | None = None,
     time_limit_s: float | None = None,
     matched: dict[DFSCode, PatternLevelStats] | None = None,
-    roots: list[DFSCode] | None = None,
 ) -> EnumStats:
     """Enumerate all (or all frequent) patterns with ``|E| <= e_max`` in the
-    database ``edges``: :func:`level_loop` on the driver, one
+    database ``db``: :func:`level_loop` on the driver, one
     :func:`match_level` job per level.
 
     ``time_limit_s`` is counted from this call and checked between levels.
     ``matched`` (see :func:`level_loop`) holds stats computed earlier by
-    :func:`match_level` over the same edges. ``roots`` is
-    :func:`level1_codes` of ``edges`` when the caller already has it; by
-    default the edge table is scanned for it.
+    :func:`match_level` over the same database.
     """
     deadline = None if time_limit_s is None else time.perf_counter() + time_limit_s
     return level_loop(
-        level1_codes(edges) if roots is None else roots,
-        lambda codes, want: match_level(spark, edges, codes, want_extensions=want),
+        level1_codes(db),
+        lambda codes, want: match_level(spark, db, codes, want_extensions=want),
         e_max=e_max,
         min_support_frac=min_support_frac,
         visitor=visitor,
@@ -207,11 +202,9 @@ def mine_graphs(
     ``time_limit_s`` is counted from this call and checked between levels.
     """
     deadline = None if time_limit_s is None else time.perf_counter() + time_limit_s
-    triples = {(g.vlabels[u], el, g.vlabels[v]) for g in graphs for u, v, el in g.edges}
-    roots = sorted({((0, 1, min(a, b), el, max(a, b)),) for a, el, b in triples}, key=code_key)
     found: list[PatternLevelStats] = []
     stats = level_loop(
-        roots,
+        _roots(frozenset().union(*(g.edge_triple_set for g in graphs))),
         ProjectedMatcher(graphs) if matcher is None else matcher,
         e_max=e_max,
         visitor=found.append,

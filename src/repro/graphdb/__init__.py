@@ -1,13 +1,15 @@
 """Graph-database substrate: labeled-graph model, synthetic molecule
-generators (stand-ins for AIDS / eMol / PubChem), and the Spark edge-table
-encoding used by every distributed job."""
+generators (stand-ins for AIDS / eMol / PubChem), the Spark edge-table
+encoding, and the graph-resident handle every distributed job runs on."""
 from repro.graphdb.model import Graph, edge_key, split_edge_key
 from repro.graphdb.generator import molecule_db, motif_library, PROFILES
 from repro.graphdb.spark_io import (
     EDGE_SCHEMA,
     to_edges_df,
     to_edges_pandas,
-    graphs_from_pandas,
+    graphs_from_rows,
+    graph_rdd,
+    GraphDB,
     db_stats,
     per_graph_edge_counts,
 )
@@ -22,7 +24,9 @@ __all__ = [
     "EDGE_SCHEMA",
     "to_edges_df",
     "to_edges_pandas",
-    "graphs_from_pandas",
+    "graphs_from_rows",
+    "graph_rdd",
+    "GraphDB",
     "db_stats",
     "per_graph_edge_counts",
 ]

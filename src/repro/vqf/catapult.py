@@ -17,6 +17,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.enumeration.gspan import enumerate_gspan
+from repro.graphdb.spark_io import GraphDB
 from repro.isomorphism.dfscode import DFSCode, code_key, code_to_graph
 
 LAMBDA = 2.0  # weight of the redundancy penalty
@@ -40,17 +41,18 @@ def catapult_lite(
     """Select k canned patterns: frequent candidates, MMR-greedy picking.
 
     ``e_min`` is the VQF pattern budget's minimum size (MinE)."""
-    n_graphs = edges.select("graph_id").distinct().count()
     cands: list[tuple[DFSCode, int]] = []
-    enumerate_gspan(
-        spark,
-        edges,
-        e_max=e_max,
-        min_support_frac=sup_min,
-        visitor=lambda ps: cands.append((ps.code, ps.support))
-        if len(ps.code) >= e_min
-        else None,
-    )
+    with GraphDB.build(edges) as db:
+        enumerate_gspan(
+            spark,
+            db,
+            e_max=e_max,
+            min_support_frac=sup_min,
+            visitor=lambda ps: cands.append((ps.code, ps.support))
+            if len(ps.code) >= e_min
+            else None,
+        )
+    n_graphs = len(db.edge_counts)
     cands.sort(key=lambda t: code_key(t[0]))  # deterministic base order
     triples = {code: code_to_graph(code).edge_triple_set for code, _ in cands}
     selected: list[tuple[DFSCode, int]] = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.enumeration.gspan import enumerate_gspan
+from repro.graphdb.spark_io import GraphDB
 from repro.isomorphism.dfscode import DFSCode, code_key, code_to_graph
 from repro.isomorphism.matcher import contains
 
@@ -48,15 +49,16 @@ def top_k_frequent(
     """Mine frequent subgraphs, keep the maximal ones, return the top-k as
     (code, support). ``e_min`` is the VQF pattern budget's minimum size."""
     found: list[tuple[DFSCode, int]] = []
-    enumerate_gspan(
-        spark,
-        edges,
-        e_max=e_max,
-        min_support_frac=sup_min,
-        visitor=lambda ps: found.append((ps.code, ps.support))
-        if len(ps.code) >= e_min
-        else None,
-    )
+    with GraphDB.build(edges) as db:
+        enumerate_gspan(
+            spark,
+            db,
+            e_max=e_max,
+            min_support_frac=sup_min,
+            visitor=lambda ps: found.append((ps.code, ps.support))
+            if len(ps.code) >= e_min
+            else None,
+        )
     maximal = _maximal(found)
     maximal.sort(key=lambda t: (-t[1], -len(t[0]), code_key(t[0])))
     return maximal[:k]

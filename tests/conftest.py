@@ -1,11 +1,12 @@
-"""Shared fixtures for Spark-dependent tests: one tiny molecule database and
-its cached edge DataFrame, reused across the whole session, plus a one-graph
-clique database on which the matcher's embedding cap triggers."""
+"""Shared fixtures for Spark-dependent tests: one tiny molecule database,
+its cached edge DataFrame and its graph-resident handle, reused across the
+whole session, plus a one-graph clique database on which the matcher's
+embedding cap triggers."""
 import pytest
 
 from repro.graphdb.generator import molecule_db
 from repro.graphdb.model import make_graph
-from repro.graphdb.spark_io import to_edges_df
+from repro.graphdb.spark_io import GraphDB, to_edges_df
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +34,17 @@ def clique_edges(spark):
     df.count()
     yield df
     df.unpersist()
+
+
+@pytest.fixture(scope="session")
+def tiny_db(tiny_edges):
+    """The :class:`GraphDB` handle of ``tiny_edges``."""
+    with GraphDB.build(tiny_edges) as db:
+        yield db
+
+
+@pytest.fixture(scope="session")
+def clique_db(clique_edges):
+    """The :class:`GraphDB` handle of ``clique_edges``."""
+    with GraphDB.build(clique_edges) as db:
+        yield db

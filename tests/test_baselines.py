@@ -85,13 +85,13 @@ class TestAlgorithms:
         r = all_g(spark, tiny_edges, k=K, e_max=4, time_limit_s=0.0)
         assert r.timed_out and r.row()["time_s"] == "INF"
 
-    def test_reports_enumeration_counters(self, spark, tiny_edges):
+    def test_reports_enumeration_counters(self, spark, tiny_edges, tiny_db):
         """ALL_g's counters come from the tasks of its one mining job and
         sum over them: ``n_matched`` counts (pattern, task) pairs, and a
         non-minimal child is rejected in every task whose graphs hold its
         parent, so ``n_children_nonmin`` is at least the driver loop's."""
         r = all_g(spark, tiny_edges, k=K, e_max=E_MAX)
-        stats = enumerate_gspan(spark, tiny_edges, e_max=E_MAX)
+        stats = enumerate_gspan(spark, tiny_db, e_max=E_MAX)
         parts = r.extra["partitions"]
         assert stats.n_visited == r.n_enumerated
         assert r.extra["n_matched"] == sum(p["patterns"] for p in parts) >= r.n_enumerated
@@ -108,9 +108,9 @@ class TestTreeJobAnswers:
     their answers equal selection over the S the driver loop streams."""
 
     @pytest.fixture(scope="class")
-    def driver_sets(self, spark, tiny_edges):
+    def driver_sets(self, spark, tiny_db):
         sets = {}
-        enumerate_gspan(spark, tiny_edges, e_max=E_MAX,
+        enumerate_gspan(spark, tiny_db, e_max=E_MAX,
                         visitor=lambda ps: sets.__setitem__(ps.code, ps.cover))
         return sets
 

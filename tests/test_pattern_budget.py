@@ -18,8 +18,8 @@ class TestEmin:
         r = ted(spark, tiny_edges, k=3, e_max=3)
         assert r.patterns  # no size constraint by default
 
-    def test_ips_respects_e_min(self, spark, tiny_edges):
-        init = ips_initial_patterns(spark, tiny_edges, k=3, e_max=3, e_min=2)
+    def test_ips_respects_e_min(self, spark, tiny_db):
+        init = ips_initial_patterns(spark, tiny_db, k=3, e_max=3, e_min=2)
         assert all(len(c) >= 2 for c, _ in init)
 
     def test_fs_respects_e_min(self, spark, tiny_edges):
@@ -38,12 +38,12 @@ class TestEmin:
 
 
 class TestFsMaximality:
-    def test_returned_patterns_are_maximal(self, spark, tiny_edges):
+    def test_returned_patterns_are_maximal(self, spark, tiny_edges, tiny_db):
         sup_min = 0.3
         pats = top_k_frequent(spark, tiny_edges, k=20, e_max=3, sup_min=sup_min)
         all_frequent = []
         enumerate_gspan(
-            spark, tiny_edges, e_max=3, min_support_frac=sup_min,
+            spark, tiny_db, e_max=3, min_support_frac=sup_min,
             visitor=lambda ps: all_frequent.append(ps.code),
         )
         for code, _ in pats:

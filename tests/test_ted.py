@@ -12,7 +12,7 @@ from repro.core.ted import ips_initial_patterns, match_level, ted
 from repro.enumeration.gspan import enumerate_gspan
 from repro.graphdb.generator import molecule_db
 from repro.graphdb.model import make_graph
-from repro.graphdb.spark_io import to_edges_df
+from repro.graphdb.spark_io import GraphDB, to_edges_df
 from repro.isomorphism.dfscode import code_to_graph, is_min
 from tests.helpers import tiny_db
 
@@ -51,9 +51,9 @@ class TestVariantValidity:
         assert 0 < variant_result.coverage_rate <= 1
 
     def test_incremental_coverage_matches_recomputation(
-        self, spark, tiny_edges, variant_result
+        self, spark, tiny_db, variant_result
     ):
-        stats = match_level(spark, tiny_edges, variant_result.patterns, want_extensions=False)
+        stats = match_level(spark, tiny_db, variant_result.patterns, want_extensions=False)
         assert len(frozenset().union(*(ps.cover for ps in stats))) == variant_result.coverage
 
     def test_not_truncated_on_molecules(self, variant_result):
@@ -110,14 +110,14 @@ class TestOptimizations:
         full = ted(spark, tiny_edges, k=K, e_max=E_MAX, variant="ted")
         assert full.coverage >= 0.95 * base.coverage
 
-    def test_ips_produces_k_disjoint_initial_patterns(self, spark, tiny_edges):
-        init = ips_initial_patterns(spark, tiny_edges, k=K, e_max=E_MAX)
+    def test_ips_produces_k_disjoint_initial_patterns(self, spark, tiny_db):
+        init = ips_initial_patterns(spark, tiny_db, k=K, e_max=E_MAX)
         codes = [c for c, _ in init]
         assert 1 <= len(codes) <= K and len(set(codes)) == len(codes)
         assert all(is_min(c) and len(c) <= E_MAX for c in codes)
 
-    def test_ips_initial_patterns_sorted_by_coverage(self, spark, tiny_edges):
-        init = ips_initial_patterns(spark, tiny_edges, k=K, e_max=E_MAX)
+    def test_ips_initial_patterns_sorted_by_coverage(self, spark, tiny_db):
+        init = ips_initial_patterns(spark, tiny_db, k=K, e_max=E_MAX)
         sizes = [len(cov) for _, cov in init]
         assert sizes == sorted(sizes, reverse=True)
 
@@ -146,25 +146,35 @@ class TestMatchOnce:
 
     @pytest.mark.parametrize("variant", ["base", "ted"])
     def test_level1_scanned_once(self, spark, tiny_edges, monkeypatch, variant):
-        scans = []
+        """One ``ted()`` call scans the edge table once, to build its
+        database handle, and every level job of the call, IPS's included,
+        runs on that handle."""
+        built, used = [], set()
+        real_build = GraphDB.build
+
+        def spy_build(edges):
+            built.append(real_build(edges))
+            return built[-1]
+
+        monkeypatch.setattr(GraphDB, "build", spy_build)
         for name in ("repro.core.ted", "repro.enumeration.gspan"):
             mod = importlib.import_module(name)
 
-            def spy(edges, *, _real=mod.level1_codes):
-                scans.append(edges)
-                return _real(edges)
+            def spy(spark, db, codes, *, _real=mod.match_level, **kw):
+                used.add(id(db))
+                return _real(spark, db, codes, **kw)
 
-            monkeypatch.setattr(mod, "level1_codes", spy)
+            monkeypatch.setattr(mod, "match_level", spy)
         ted(spark, tiny_edges, k=K, e_max=E_MAX, variant=variant)
-        assert len(scans) == 1
+        assert len(built) == 1 and used == {id(built[0])}
 
     @pytest.mark.parametrize("extend_filter", [None, lambda ps: ps.support > 2])
-    def test_ips_stats_leave_enumeration_unchanged(self, spark, tiny_edges, extend_filter):
+    def test_ips_stats_leave_enumeration_unchanged(self, spark, tiny_db, extend_filter):
         def run(matched):
             seen = []
             stats = enumerate_gspan(
                 spark,
-                tiny_edges,
+                tiny_db,
                 e_max=E_MAX,
                 visitor=lambda ps: seen.append((ps.code, ps.support_gids, ps.cover, ps.extensions)),
                 extend_filter=extend_filter,
@@ -173,7 +183,7 @@ class TestMatchOnce:
             return seen, stats
 
         matched = {}
-        ips_initial_patterns(spark, tiny_edges, k=K, e_max=E_MAX, matched=matched)
+        ips_initial_patterns(spark, tiny_db, k=K, e_max=E_MAX, matched=matched)
         n_ips = len(matched)
         assert run(matched) == run(None)
         assert len(matched) < n_ips  # entries are popped as they are used

@@ -1,11 +1,14 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps program
 functions by module and attribute name, and a traced run fails outright if
-one of them is gone. Check those names from the test suite, so a rename
-fails here rather than in the benchmark."""
+one of them is gone. Check those names from the test suite, and run the
+tracer and its checks (``perfbench/layers.py``) around real discovery
+calls, so a rename or a changed job shape fails here rather than in the
+benchmark."""
 import importlib
 import importlib.util
 import inspect
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -47,7 +50,9 @@ def test_level_job_sites_keep_their_shape():
     assert params["want_extensions"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
-def test_level_job_rows_are_the_nonempty_pairs(spark, tiny_edges, clique_edges):
+def test_level_job_rows_are_the_nonempty_pairs(
+    spark, tiny_edges, tiny_db, clique_edges, clique_db
+):
     """The tracer checks the rows of ``match_level_df(...).toPandas()``
     against a serial ``match_stats`` replay: one row per (pattern, graph)
     pair with an embedding, none for the others and none twice. Checked on
@@ -55,16 +60,18 @@ def test_level_job_rows_are_the_nonempty_pairs(spark, tiny_edges, clique_edges):
     paths, of which the 4-edge one hits the embedding cap."""
     from repro.enumeration.distributed import match_level, match_level_df
     from repro.enumeration.gspan import level1_codes
-    from repro.graphdb.spark_io import graphs_from_pandas
+    from repro.graphdb.spark_io import graphs_from_rows
     from repro.isomorphism.matcher import match_stats
 
-    l1 = level1_codes(tiny_edges)
+    l1 = level1_codes(tiny_db)
     two_levels = l1 + [
-        ps.code + (e,) for ps in match_level(spark, tiny_edges, l1) for e in sorted(ps.extensions)
+        ps.code + (e,) for ps in match_level(spark, tiny_db, l1) for e in sorted(ps.extensions)
     ]
     path = tuple((i, i + 1, "C", "-", "C") for i in range(4))
-    for edges, codes in ((tiny_edges, two_levels), (clique_edges, [path[:3], path])):
-        graphs = graphs_from_pandas(edges.toPandas())
+    for edges, db, codes in (
+        (tiny_edges, tiny_db, two_levels), (clique_edges, clique_db, [path[:3], path])
+    ):
+        graphs = graphs_from_rows(edges.collect())
         expected = {
             (pid, g.gid)
             for pid, code in enumerate(codes)
@@ -72,7 +79,60 @@ def test_level_job_rows_are_the_nonempty_pairs(spark, tiny_edges, clique_edges):
             if match_stats(code, g, want_extensions=False).n_embeddings
         }
         for want_extensions in (True, False):
-            pdf = match_level_df(spark, edges, codes, want_extensions=want_extensions).toPandas()
+            pdf = match_level_df(spark, db, codes, want_extensions=want_extensions).toPandas()
             rows = list(zip(pdf["pattern_id"].tolist(), pdf["graph_id"].tolist()))
             assert len(rows) == len(set(rows))
             assert set(rows) == expected
+
+
+def _perfbench_modules():
+    """``tracing`` and ``layers`` imported as ``perfbench/run.py`` imports
+    them, with ``perfbench/`` on ``sys.path``; the caller's ``sys.path`` and
+    ``sys.modules`` are restored afterwards."""
+    saved = {name: sys.modules.pop(name, None) for name in ("tracing", "layers")}
+    sys.path.insert(0, str(TRACING.parent))
+    try:
+        return importlib.import_module("tracing"), importlib.import_module("layers")
+    finally:
+        sys.path.remove(str(TRACING.parent))
+        for name, module in saved.items():
+            sys.modules.pop(name, None)
+            if module is not None:
+                sys.modules[name] = module
+
+
+@pytest.mark.parametrize("algo", ["ted", "all_g"])
+def test_traced_call_passes_the_benchmark_checks(spark, tiny_edges, tiny_mol_db, algo):
+    """The benchmark's tracer, installed around one discovery call as
+    ``perfbench/run.py --trace 1`` installs it, leaves the caller's job
+    group in place, finds its discovery span consistent
+    (``layers.span_problems``), and replays the level jobs' frontiers
+    serially to the same non-empty pair count as their rows."""
+    from repro.core import all_g, ted
+
+    tracing, layers = _perfbench_modules()
+    run = {"ted": lambda: ted(spark, tiny_edges, k=3, e_max=3),
+           "all_g": lambda: all_g(spark, tiny_edges, k=3, e_max=3)}[algo]
+    sc = spark.sparkContext
+    group = f"test-traced-{algo}"
+    sc.setJobGroup(group, group)
+    tracer = tracing.Tracer()
+    try:
+        t0 = time.perf_counter()
+        tracer.call_id = group
+        tracer.install()
+        try:
+            with tracer.span(tracing.DISCOVERY):
+                run()
+        finally:
+            tracer.uninstall()
+        seconds = time.perf_counter() - t0
+        assert sc.getLocalProperty("spark.jobGroup.id") == group
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    root = next(i for i, s in enumerate(tracer.spans) if s.name == tracing.DISCOVERY)
+    assert layers.span_problems(tracer.spans, root, seconds) == []
+    _, serial_nonempty = layers.replay_serial(tracer.level_calls, tiny_mol_db)
+    assert serial_nonempty == sum(lc.nonempty_rows for lc in tracer.level_calls)
+    assert (serial_nonempty > 0) == (algo == "ted")

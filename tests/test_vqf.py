@@ -123,12 +123,12 @@ class TestComparatorPatternSets:
         cat = [c for c, _ in catapult_lite(spark, tiny_edges, k=4, e_max=2, sup_min=0.2)]
         assert fs != cat  # MMR diversification must change the selection
 
-    def test_pattern_supports_match_direct_count(self, spark, tiny_mol_db, tiny_edges):
+    def test_pattern_supports_match_direct_count(self, spark, tiny_mol_db, tiny_db):
         from repro.enumeration.distributed import match_level
         from repro.isomorphism.matcher import contains
 
         codes = [code(["C", "C"], [(0, 1)]), code(["C", "N"], [(0, 1)])]
-        stats = match_level(spark, tiny_edges, codes, want_extensions=False)
+        stats = match_level(spark, tiny_db, codes, want_extensions=False)
         sups = {ps.code: ps.support for ps in stats}
         for c in codes:
             assert sups[c] == sum(contains(g, c) for g in tiny_mol_db)
