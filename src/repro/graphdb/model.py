@@ -74,15 +74,6 @@ class Graph:
         return tuple(tuple(x) for x in a)
 
     @cached_property
-    def edge_lookup(self) -> dict[tuple[int, int], tuple[str, int]]:
-        """Map unordered vertex pair -> (elabel, eid)."""
-        d: dict[tuple[int, int], tuple[str, int]] = {}
-        for eid, (u, v, el) in enumerate(self.edges):
-            d[(u, v)] = (el, eid)
-            d[(v, u)] = (el, eid)
-        return d
-
-    @cached_property
     def label_multiset(self) -> dict[str, int]:
         """Vertex-label counts — a cheap containment pre-filter."""
         d: dict[str, int] = {}
@@ -146,3 +137,14 @@ def make_graph(
         norm.append((u, v, el))
     norm.sort()
     return Graph(gid, tuple(vlabels), tuple(norm))
+
+
+def induced_subgraph(g: Graph, eids: frozenset[int]) -> Graph:
+    """Subgraph of ``g`` on the given edges, vertices relabeled to 0..m-1."""
+    verts = sorted({x for eid in eids for x in g.edges[eid][:2]})
+    remap = {v: i for i, v in enumerate(verts)}
+    return Graph(
+        -1,
+        tuple(g.vlabels[v] for v in verts),
+        tuple(sorted((remap[u], remap[v], el) for u, v, el in (g.edges[e] for e in sorted(eids)))),
+    )

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from repro.graphdb.model import Graph
+from repro.graphdb.model import Graph, induced_subgraph
 
 
 def canonical_form_bruteforce(g: Graph):
@@ -61,17 +61,6 @@ def connected_edge_subsets(g: Graph, e_max: int) -> list[frozenset[int]]:
         frontier = list(nxt)
         size += 1
     return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
-def induced_subgraph(g: Graph, eids: frozenset[int]) -> Graph:
-    """Subgraph of ``g`` on the given edges, vertices relabeled to 0..m-1."""
-    verts = sorted({x for eid in eids for x in g.edges[eid][:2]})
-    remap = {v: i for i, v in enumerate(verts)}
-    return Graph(
-        -1,
-        tuple(g.vlabels[v] for v in verts),
-        tuple(sorted((remap[u], remap[v], el) for u, v, el in (g.edges[e] for e in sorted(eids)))),
-    )
 
 
 def distinct_patterns_bruteforce(

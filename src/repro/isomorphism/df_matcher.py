@@ -8,10 +8,11 @@ Spark (Catalyst plan over a temp view) and on DuckDB (the oracle), so a wrong
 join produces a hard test failure rather than a silently different cover set.
 
 This is the pure-DataFrame counterpart of :mod:`repro.isomorphism.matcher`
-and is cross-checked against it in the tests. The per-level enumeration jobs
-use the Python matcher inside ``mapInPandas`` over ``graph_id``-partitioned
-edges (patterns change every level; generating and optimizing a fresh m-way
-join per candidate pattern per level would dominate runtime), which DESIGN.md
+and is cross-checked against it in the tests. The enumeration's Spark jobs
+use the Python matcher instead, in tasks over the partitions of the graph
+RDD (:class:`repro.graphdb.spark_io.GraphDB`, :func:`repro.graphdb.spark_io.graph_rdd`):
+patterns change every level, and generating and optimizing a fresh m-way
+join per candidate pattern per level would dominate runtime, as DESIGN.md
 documents.
 """
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""gSpan DFS codes: representation, lexicographic order, minimality.
+"""gSpan DFS codes: representation, lexicographic order, minimality, and
+gSpan's one extension step.
 
 A DFS code is a tuple of 5-tuples ``(i, j, li, el, lj)`` describing edges in
 DFS discovery order over pattern vertices ``0..n-1``; ``i < j`` is a forward
@@ -8,12 +9,23 @@ two labeled graphs are isomorphic iff their minimal codes are equal. gSpan
 enumerates each isomorphism class exactly once by only growing codes that
 remain minimal (``is_min``).
 
+One projection step serves both growing candidates and testing minimality.
+It works on a graph given as adjacency lists ``(adj, vlabels)``: a
+:class:`Graph`'s, or a code's own. An :data:`Embedding` ``(vmap, eids)``
+binds a code prefix to the graph; :func:`first_embeddings` binds the first
+entry, :func:`step` binds the next entry onto an embedding, and
+:func:`rightmost_extensions` lists the entries an embedding can grow by.
+:func:`min_code_of_graph` and :func:`is_min` regrow a code over its graph
+with them, picking or checking the least extension at each entry; the
+matcher (:mod:`repro.isomorphism.matcher`) enumerates a code's embeddings
+in data graphs and collects its candidate children with the same three.
+
 Reference: Yan & Han, "gSpan: Graph-Based Substructure Pattern Mining",
 ICDM 2002 (paper's [9]).
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.graphdb.model import Graph, make_graph
 
@@ -88,25 +100,77 @@ def rightmost_path(code: DFSCode) -> list[int]:
     return path
 
 
-#: An embedding of a code onto the vertices of the graph the code is
-#: searched in: (vmap, inverse of vmap, used edge ids).
-_Emb = tuple[list[int], dict[int, int], frozenset[int]]
+#: An embedding of a code's first ``len(eids)`` entries in a graph:
+#: ``vmap[p]`` is the graph vertex bound to pattern vertex ``p``, ``eids[t]``
+#: the graph edge bound to code entry ``t``.
+Embedding = tuple[list[int], list[int]]
 #: ``adj[u]`` = the ``(neighbor, elabel, eid)`` of every edge at ``u``.
-_Adj = Sequence[Sequence[tuple[int, str, int]]]
+Adj = Sequence[Sequence[tuple[int, str, int]]]
 
 
-def _first_entry_states(
-    edges: Iterable[tuple[int, int, str]], vlabels: Sequence[str], labels: tuple[str, str, str]
-) -> list[_Emb]:
-    """Every orientation ``(a, b)`` of an edge (``eid`` = position in
-    ``edges``) whose label triple is ``labels``, as an embedding of the
-    first entry ``(0, 1, *labels)``."""
+def first_embeddings(
+    adj: Adj, vlabels: Sequence[str], labels: tuple[str, str, str]
+) -> list[Embedding]:
+    """The embeddings of the first entry ``(0, 1, *labels)`` in the graph
+    ``(adj, vlabels)``: every edge orientation ``(a, b)`` whose label triple
+    is ``labels``, in vertex order of ``a``, then in ``adj[a]`` order."""
+    l0, el0, l1 = labels
     return [
-        ([a, b], {a: 0, b: 1}, frozenset([eid]))
-        for eid, (u, v, el) in enumerate(edges)
-        for a, b in ((u, v), (v, u))
-        if (vlabels[a], el, vlabels[b]) == labels
+        ([a, b], [eid])
+        for a, la in enumerate(vlabels)
+        if la == l0
+        for b, el, eid in adj[a]
+        if el == el0 and vlabels[b] == l1
     ]
+
+
+def step(
+    adj: Adj, vlabels: Sequence[str], entry: Edge5, vmap: list[int], eids: list[int]
+) -> list[Embedding]:
+    """The embeddings that bind ``entry``, the code's next entry, onto the
+    embedding ``(vmap, eids)`` in the graph ``(adj, vlabels)``.
+
+    A forward entry binds a fresh neighbour of ``vmap[i]`` to the new pattern
+    vertex ``j``; a backward entry needs the graph edge between the two
+    bound vertices. Each result is a new ``(vmap, eids)``; a pattern has a
+    handful of vertices, so freshness is a scan of ``vmap``.
+    """
+    i, j, _, el, lj = entry
+    if j == len(vmap):  # forward: bind a new vertex for j
+        return [
+            (vmap + [b], eids + [eid])
+            for b, bel, eid in adj[vmap[i]]
+            if bel == el and vlabels[b] == lj and b not in vmap
+        ]
+    gj = vmap[j]  # backward: the edge between two bound vertices
+    return [(vmap, eids + [eid]) for b, bel, eid in adj[vmap[i]] if b == gj and bel == el]
+
+
+def rightmost_extensions(
+    adj: Adj, vlabels: Sequence[str], rmpath: list[int], vmap: list[int], eids: list[int]
+) -> Iterator[Edge5]:
+    """Every rightmost extension of the embedding ``(vmap, eids)`` of a code
+    with rightmost path ``rmpath``, in the graph ``(adj, vlabels)``, as the
+    code entry it appends (repeats included).
+
+    Backward: the rightmost vertex to an earlier rightmost-path vertex,
+    along a graph edge the embedding does not use; in a simple graph that is
+    exactly a pattern edge the code lacks. Forward: any rightmost-path
+    vertex to a graph vertex the embedding does not bind.
+    """
+    rmv = rmpath[-1]
+    grm = vmap[rmv]
+    for b, el, eid in adj[grm]:
+        if b in vmap and eid not in eids:
+            j = vmap.index(b)
+            if j in rmpath:
+                yield (rmv, j, vlabels[grm], el, vlabels[b])
+    n = len(vmap)
+    for i in rmpath:
+        gi = vmap[i]
+        for b, el, _ in adj[gi]:
+            if b not in vmap:
+                yield (i, n, vlabels[gi], el, vlabels[b])
 
 
 def _next_rmpath(rmpath: list[int], e: Edge5) -> list[int]:
@@ -116,58 +180,10 @@ def _next_rmpath(rmpath: list[int], e: Edge5) -> list[int]:
     return rmpath[: rmpath.index(i) + 1] + [j] if i < j else rmpath
 
 
-def _rightmost_extensions(
-    adj: _Adj, vlabels: Sequence[str], rmpath: list[int], states: list[_Emb]
-) -> Iterator[tuple[Edge5, _Emb, int, int | None]]:
-    """Every rightmost extension of every embedding in ``states`` of a code
-    with rightmost path ``rmpath``, along an edge of the graph
-    ``(adj, vlabels)`` that the embedding does not use yet.
-
-    Yields ``(entry, state, eid, new_vertex)``; ``new_vertex`` is the graph
-    vertex a forward entry discovers and None for a backward entry.
-    :func:`_grow` builds the extended embeddings of the picked ones.
-    """
-    rmpath_set = set(rmpath)
-    rmv = rmpath[-1]
-    for state in states:
-        vmap, inv, used = state
-        # Backward extensions: rightmost vertex -> earlier rightmost-path vertex.
-        gv = vmap[rmv]
-        for nbr, el, eid in adj[gv]:
-            if eid in used:
-                continue
-            j = inv.get(nbr)
-            if j is None or j not in rmpath_set or j == rmv:
-                continue
-            yield (rmv, j, vlabels[gv], el, vlabels[nbr]), state, eid, None
-        # Forward extensions: any rightmost-path vertex -> new vertex.
-        n_mapped = len(vmap)
-        for pi in rmpath:
-            gv2 = vmap[pi]
-            for nbr, el, eid in adj[gv2]:
-                if eid in used or nbr in inv:
-                    continue
-                yield (pi, n_mapped, vlabels[gv2], el, vlabels[nbr]), state, eid, nbr
-
-
-def _grow(picks: list[tuple[_Emb, int, int | None]]) -> list[_Emb]:
-    """The distinct embeddings the picked ``(state, eid, new_vertex)``
-    extensions lead to (symmetric graphs produce repeats)."""
-    seen: set[tuple[tuple[int, ...], frozenset[int]]] = set()
-    out: list[_Emb] = []
-    for (vmap, inv, used), eid, nbr in picks:
-        if nbr is not None:
-            vmap, inv = vmap + [nbr], {**inv, nbr: len(vmap)}
-        used = used | {eid}
-        key = (tuple(vmap), used)
-        if key not in seen:
-            seen.add(key)
-            out.append((vmap, inv, used))
-    return out
-
-
 def min_code_of_graph(g: Graph) -> DFSCode:
-    """The canonical (minimal) DFS code of ``g``.
+    """The canonical (minimal) DFS code of the connected graph ``g``:
+    ``min_code_of_graph(g1) == min_code_of_graph(g2)`` iff ``g1`` and ``g2``
+    are isomorphic.
 
     Grows the code one entry at a time, keeping every embedding of the
     current minimal prefix and picking the globally minimal rightmost
@@ -176,25 +192,22 @@ def min_code_of_graph(g: Graph) -> DFSCode:
     """
     if g.n_edges == 0:
         raise ValueError("DFS codes are defined for graphs with >= 1 edge")
+    adj, vlabels = g.adj, g.vlabels
     first = min(
-        min((g.vlabels[u], el, g.vlabels[v]), (g.vlabels[v], el, g.vlabels[u]))
+        min((vlabels[u], el, vlabels[v]), (vlabels[v], el, vlabels[u]))
         for u, v, el in g.edges
     )
     code: list[Edge5] = [(0, 1, *first)]
     rmpath = [0, 1]
-    states = _first_entry_states(g.edges, g.vlabels, first)
+    embs = first_embeddings(adj, vlabels, first)
     while len(code) < g.n_edges:
-        best: Edge5 | None = None
-        picks: list[tuple[_Emb, int, int | None]] = []
-        for t, state, eid, nbr in _rightmost_extensions(g.adj, g.vlabels, rmpath, states):
-            if best is None or edge_lt(t, best):
-                best, picks = t, [(state, eid, nbr)]
-            elif t == best:
-                picks.append((state, eid, nbr))
-        assert best is not None, "connected graph must always extend"
+        best = min(
+            (e for vmap, eids in embs for e in rightmost_extensions(adj, vlabels, rmpath, vmap, eids)),
+            key=_entry_key,
+        )
         code.append(best)
         rmpath = _next_rmpath(rmpath, best)
-        states = _grow(picks)
+        embs = [x for vmap, eids in embs for x in step(adj, vlabels, best, vmap, eids)]
     return tuple(code)
 
 
@@ -206,10 +219,11 @@ def is_min(code: DFSCode) -> bool:
     orientation sorts below its first entry's labels is rejected before any
     search (gSpan's cheap pre-check). Otherwise the code is regrown on its
     own graph as in :func:`min_code_of_graph`, keeping only the embeddings
-    that reproduce ``code[:t]``, and rejected at the first step where some
-    rightmost extension sorts below ``code[t]``. The graph is the code's
-    adjacency lists (edge id = position in the code), not a :class:`Graph`,
-    whose construction would cost about as much as the search.
+    of ``code[:t]``, and rejected at the first step where some rightmost
+    extension sorts below ``code[t]`` or none equals it. The graph is the
+    code's adjacency lists (edge id = position in the code), not a
+    :class:`Graph`, whose construction would cost about as much as the
+    search.
     """
     first = code[0][2:]
     for _, _, li, el, lj in code:
@@ -223,38 +237,23 @@ def is_min(code: DFSCode) -> bool:
         adj[i].append((j, el, eid))
         adj[j].append((i, el, eid))
     rmpath = [0, 1]
-    states = _first_entry_states([(i, j, el) for i, j, _, el, _ in code], vlabels, first)
-    for target in code[1:]:
-        picks: list[tuple[_Emb, int, int | None]] = []
-        for e, state, eid, nbr in _rightmost_extensions(adj, vlabels, rmpath, states):
-            if e == target:
-                picks.append((state, eid, nbr))
-            elif edge_lt(e, target):
-                return False
-        if not picks:  # not a rightmost-extension code at all
+    embs = first_embeddings(adj, vlabels, first)
+    for entry in code[1:]:
+        found = False
+        for vmap, eids in embs:
+            for e in rightmost_extensions(adj, vlabels, rmpath, vmap, eids):
+                if e == entry:
+                    found = True
+                elif edge_lt(e, entry):
+                    return False
+        if not found:  # not a rightmost-extension code at all
             return False
-        rmpath = _next_rmpath(rmpath, target)
-        states = _grow(picks)
+        rmpath = _next_rmpath(rmpath, entry)
+        embs = [x for vmap, eids in embs for x in step(adj, vlabels, entry, vmap, eids)]
     return True
-
-
-def canonical(g: Graph) -> DFSCode:
-    """Canonical form of a labeled graph (alias of :func:`min_code_of_graph`).
-
-    ``canonical(g1) == canonical(g2)`` iff ``g1`` and ``g2`` are isomorphic.
-    """
-    return min_code_of_graph(g)
 
 
 def encode(code: DFSCode) -> str:
     """Serialize a code to a compact string (for Arrow columns / broadcast)."""
     return ";".join(f"{i},{j},{li},{el},{lj}" for i, j, li, el, lj in code)
 
-
-def decode(s: str) -> DFSCode:
-    """Inverse of :func:`encode`."""
-    out = []
-    for part in s.split(";"):
-        i, j, li, el, lj = part.split(",")
-        out.append((int(i), int(j), li, el, lj))
-    return tuple(out)

@@ -3,18 +3,23 @@ DFS-code pattern in a data graph, and derive from them
 
 - the cover set ``Cov(p, G)`` (union of matched edge ids — Definition 2),
 - the embedding count, and
-- the set of canonical rightmost extensions observed in ``G`` (the gSpan
-  candidate children of ``p``).
+- the set of rightmost extensions observed in ``G`` (the gSpan candidate
+  children of ``p``).
 
-Embeddings follow the code's own DFS order, so candidate vertices are always
-adjacent to the partial embedding — no global backtracking search is needed.
-:func:`match_stats` matches one pattern in one graph. :func:`match_frontier`
-matches a whole enumeration level in a list of graphs, and it is the one
-frontier matcher of both Spark jobs
-(:mod:`repro.enumeration.distributed`): it groups the level by parent
-(DFS-code prefix) and extends the parent's embeddings in each graph by each
-child's last entry, gSpan's projection. The level job's tasks enumerate
-each parent once per graph; the tree job's matcher
+Everything here is gSpan's one extension step
+(:mod:`repro.isomorphism.dfscode`) applied to a data graph's adjacency
+lists: :func:`iter_embeddings` seeds with ``first_embeddings`` and binds
+entry after entry with ``step``, following the code's own DFS order, so
+candidate vertices are always adjacent to the partial embedding and no
+global backtracking search is needed; the extensions come from
+``rightmost_extensions``, which needs no pattern graph. :func:`match_stats`
+matches one pattern in one graph. :func:`match_frontier` matches a whole
+enumeration level in a list of graphs, and it is the one frontier matcher
+of both Spark jobs (:mod:`repro.enumeration.distributed`): it groups the
+level by parent (DFS-code prefix) and extends the parent's embeddings in
+each graph by each child's last entry with the same ``step``, gSpan's
+projection. The level job's tasks enumerate each parent once per graph;
+the tree job's matcher
 (:class:`repro.enumeration.distributed.ProjectedMatcher`) passes in the
 embeddings it kept from the previous level. :func:`match_child` is the step
 for one child: it extends given parent embeddings, or matches from the root
@@ -34,15 +39,19 @@ from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from repro.graphdb.model import Graph
-from repro.isomorphism.dfscode import DFSCode, Edge5, code_to_graph, rightmost_path
+from repro.isomorphism.dfscode import (
+    DFSCode,
+    Edge5,
+    Embedding,
+    code_to_graph,
+    first_embeddings,
+    rightmost_extensions,
+    rightmost_path,
+    step,
+)
 
 #: Cap on embeddings enumerated per (pattern, graph).
 DEFAULT_MAX_EMB = 2000
-
-#: A (partial) embedding ``(vmap, eids)``: ``vmap[p]`` is the graph vertex
-#: bound to pattern vertex ``p``, ``eids[t]`` the graph edge bound to code
-#: entry ``t``; ``len(eids)`` entries are bound.
-Embedding = tuple[list[int], list[int]]
 
 
 @dataclass
@@ -55,50 +64,25 @@ class MatchResult:
     truncated: bool  # True if the embedding cap was hit
 
 
-def _step(g: Graph, entry: Edge5, vmap: list[int], eids: list[int]) -> list[Embedding]:
-    """The partial embeddings that bind ``entry`` onto ``(vmap, eids)``.
-
-    A forward entry binds a fresh neighbour of ``vmap[i]`` to the new pattern
-    vertex ``j``; a backward entry requires the graph edge between the two
-    bound vertices. Each result is a new ``(vmap, eids)``; a pattern has a
-    handful of vertices, so freshness is a scan of ``vmap``.
-    """
-    i, j, _, el, lj = entry
-    out = []
-    if j == len(vmap):  # forward: bind a new vertex for j
-        for nbr, nel, eid in g.adj[vmap[i]]:
-            if nel == el and g.vlabels[nbr] == lj and nbr not in vmap:
-                out.append((vmap + [nbr], eids + [eid]))
-    else:  # backward: required edge between two bound vertices
-        hit = g.edge_lookup.get((vmap[i], vmap[j]))
-        if hit is not None and hit[0] == el:
-            out.append((vmap, eids + [hit[1]]))
-    return out
-
-
 def iter_embeddings(code: DFSCode, g: Graph, max_emb: int = DEFAULT_MAX_EMB):
     """Yield ``(vmap, eids)`` for each embedding of ``code`` in ``g``,
     stopping after ``max_emb``.
 
     ``vmap[p]`` is the graph vertex bound to pattern vertex ``p`` and
     ``eids[t]`` the graph edge bound to code entry ``t``. The search is
-    depth-first over partial embeddings, so which embeddings come first when
-    the cap cuts it short depends only on ``code`` and ``g``. Callers:
+    depth-first over partial embeddings, seeded with
+    :func:`~repro.isomorphism.dfscode.first_embeddings` and grown with
+    :func:`~repro.isomorphism.dfscode.step`, so which embeddings come first
+    when the cap cuts it short depends only on ``code`` and ``g``. Callers:
     :func:`match_stats` (with its cap), :func:`match_frontier` (for a parent
     that is not kept, once per graph), :func:`match_child` (from the root),
     :func:`contains` (first hit only) and the VQF step model, which places
     patterns on edge-disjoint regions of a query.
     """
-    i0, j0, l0, el0, l1 = code[0]
-    count = 0
-    stack: list[Embedding] = []
-    for v0 in range(g.n_vertices):
-        if g.vlabels[v0] != l0:
-            continue
-        for nbr, el, eid in g.adj[v0]:
-            if el == el0 and g.vlabels[nbr] == l1:
-                stack.append(([v0, nbr], [eid]))
+    adj, vlabels = g.adj, g.vlabels
+    stack = first_embeddings(adj, vlabels, code[0][2:])
     n_entries = len(code)
+    count = 0
     while stack:
         vmap, eids = stack.pop()
         t = len(eids)
@@ -108,51 +92,28 @@ def iter_embeddings(code: DFSCode, g: Graph, max_emb: int = DEFAULT_MAX_EMB):
             if count >= max_emb:
                 return
             continue
-        stack += _step(g, code[t], vmap, eids)
+        stack += step(adj, vlabels, code[t], vmap, eids)
 
 
 def _aggregate(
     embeddings: Iterable[Embedding],
     g: Graph,
-    p: Graph,
     rmpath: list[int],
     *,
     want_extensions: bool,
     max_emb: int,
 ) -> MatchResult:
-    """Fold the ``(vmap, eids)`` embeddings of pattern ``p`` in ``g`` into a
+    """Fold the ``(vmap, eids)`` embeddings of a pattern in ``g`` into a
     :class:`MatchResult`; ``rmpath`` is the pattern's rightmost path and
     ``max_emb`` the cap the embeddings were enumerated under."""
-    rmpath_set = set(rmpath)
-    rmv = rmpath[-1]
-    n_pv = p.n_vertices
     n_emb = 0
     covered: set[int] = set()
     exts: set[Edge5] = set()
     for vmap, eids in embeddings:
         n_emb += 1
         covered.update(eids)
-        if not want_extensions:
-            continue
-        inv = {gv: pi for pi, gv in enumerate(vmap)}
-        # Backward extensions: rightmost vertex to an earlier rmpath vertex,
-        # along a graph edge the pattern does not already have.
-        gv_rm = vmap[rmv]
-        for nbr, el, _ in g.adj[gv_rm]:
-            pj = inv.get(nbr)
-            if (
-                pj is not None
-                and pj in rmpath_set
-                and pj != rmv
-                and (min(rmv, pj), max(rmv, pj)) not in p.edge_lookup
-            ):
-                exts.add((rmv, pj, p.vlabels[rmv], el, p.vlabels[pj]))
-        # Forward extensions: rmpath vertex to a fresh graph vertex.
-        for pi in rmpath:
-            gv = vmap[pi]
-            for nbr, el, _ in g.adj[gv]:
-                if nbr not in inv:
-                    exts.add((pi, n_pv, p.vlabels[pi], el, g.vlabels[nbr]))
+        if want_extensions:
+            exts.update(rightmost_extensions(g.adj, g.vlabels, rmpath, vmap, eids))
     return MatchResult(n_emb, covered, exts, n_emb == max_emb)
 
 
@@ -173,7 +134,7 @@ def match_stats(
     if not g.could_contain(p):
         return MatchResult(0, set(), set(), False)
     return _aggregate(
-        iter_embeddings(code, g, max_emb), g, p, rightmost_path(code),
+        iter_embeddings(code, g, max_emb), g, rightmost_path(code),
         want_extensions=want_extensions, max_emb=max_emb,
     )
 
@@ -183,7 +144,6 @@ class FrontierChild(NamedTuple):
 
     index: int          # position in the frontier
     code: DFSCode
-    pattern: Graph      # ``code_to_graph(code)``
     rmpath: list[int]   # ``rightmost_path(code)``
 
 
@@ -238,13 +198,13 @@ def match_child(
     embs = None
     if parent_embs is not None:
         last = child.code[-1]
-        embs = _complete(e for vmap, eids in parent_embs for e in _step(g, last, vmap, eids))
+        embs = _complete(
+            x for vmap, eids in parent_embs for x in step(g.adj, g.vlabels, last, vmap, eids)
+        )
     if embs is None:
-        if not g.could_contain(child.pattern):
-            return MatchResult(0, set(), set(), False), []
         embs = list(islice(iter_embeddings(child.code, g), DEFAULT_MAX_EMB))
     ms = _aggregate(
-        embs, g, child.pattern, child.rmpath,
+        embs, g, child.rmpath,
         want_extensions=want_extensions, max_emb=DEFAULT_MAX_EMB,
     )
     return ms, None if ms.truncated else embs
@@ -273,10 +233,7 @@ def match_frontier(
     for idx, code in enumerate(codes):
         groups.setdefault(code[:-1], []).append(idx)
     for parent, indices in groups.items():
-        children = [
-            FrontierChild(i, codes[i], code_to_graph(codes[i]), rightmost_path(codes[i]))
-            for i in indices
-        ]
+        children = [FrontierChild(i, codes[i], rightmost_path(codes[i])) for i in indices]
         where = kept.get(parent) if kept else None
         if where is None:
             where = _parent_embeddings(parent, graphs)

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphdb.model import Graph, make_graph
-from repro.isomorphism.bruteforce import induced_subgraph
+from repro.graphdb.model import Graph, induced_subgraph, make_graph
 from repro.isomorphism.dfscode import DFSCode, code_to_graph
 
 #: Labels that only motif scaffolds produce (the backbone alphabet is

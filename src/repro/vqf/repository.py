@@ -9,12 +9,12 @@ a library motif. See DESIGN.md §3.7.
 from __future__ import annotations
 
 from repro.graphdb.generator import motif_library
-from repro.isomorphism.dfscode import DFSCode, canonical
+from repro.isomorphism.dfscode import DFSCode, min_code_of_graph
 
 
 def repository_canon(labeled_edges: bool = False) -> frozenset[DFSCode]:
     """Canonical codes of every repository motif."""
-    return frozenset(canonical(m) for m in motif_library(labeled_edges))
+    return frozenset(min_code_of_graph(m) for m in motif_library(labeled_edges))
 
 
 def has_bio_importance(code: DFSCode, *, labeled_edges: bool = False) -> bool:

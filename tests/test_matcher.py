@@ -7,12 +7,8 @@ from itertools import islice
 import pytest
 
 from repro.graphdb.generator import molecule_db
-from repro.graphdb.model import make_graph
-from repro.isomorphism.bruteforce import (
-    canonical_form_bruteforce,
-    connected_edge_subsets,
-    induced_subgraph,
-)
+from repro.graphdb.model import induced_subgraph, make_graph
+from repro.isomorphism.bruteforce import canonical_form_bruteforce, connected_edge_subsets
 from repro.isomorphism.dfscode import code_to_graph, is_min, min_code_of_graph
 from repro.isomorphism.matcher import (
     DEFAULT_MAX_EMB,
@@ -145,6 +141,27 @@ class TestExtensions:
                 if is_min(child):
                     produced.add(child)
         assert two_edge_codes <= produced
+
+    def test_minimal_children_of_multi_edge_parents_are_exact(self):
+        """For every minimal code ``p`` of a connected subgraph with up to
+        3 edges, the minimal codes among ``p``'s observed children are
+        exactly the minimal codes of the connected ``(|p|+1)``-edge
+        subgraphs whose prefix is ``p``. Ring closures (backward last
+        entries) are among the children checked."""
+        n_ring_closures = 0
+        for seed in range(20):
+            g = random_connected_graph(seed, n_min=4, n_max=7, edge_labels=["-", "="])
+            by_size: dict[int, set] = {}
+            for es in connected_edge_subsets(g, 4):
+                code = min_code_of_graph(induced_subgraph(g, es))
+                by_size.setdefault(len(es), set()).add(code)
+            for size in (1, 2, 3):
+                for p in by_size.get(size, ()):
+                    children = {p + (e,) for e in match_stats(p, g).extensions}
+                    minimal = {c for c in children if is_min(c)}
+                    assert minimal == {c for c in by_size.get(size + 1, ()) if c[:-1] == p}
+                    n_ring_closures += sum(c[-1][0] > c[-1][1] for c in minimal)
+        assert n_ring_closures > 0
 
     def test_prefilter_short_circuits(self):
         g = make_graph(0, ["C", "C"], [(0, 1)])

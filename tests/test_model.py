@@ -48,11 +48,6 @@ class TestAdjacency:
         assert (0, "-", 0) in g.adj[1]
         assert (2, "-", 1) in g.adj[1]
 
-    def test_edge_lookup_both_directions(self):
-        g = make_graph(0, ["C", "N"], [(0, 1, "x")])
-        assert g.edge_lookup[(0, 1)] == ("x", 0)
-        assert g.edge_lookup[(1, 0)] == ("x", 0)
-
     @pytest.mark.parametrize("seed", range(10))
     def test_adjacency_degree_sums_to_twice_edges(self, seed):
         g = random_connected_graph(seed)

@@ -3,7 +3,10 @@ functions by module and attribute name, and a traced run fails outright if
 one of them is gone. Check those names from the test suite, and run the
 tracer and its checks (``perfbench/layers.py``) around real discovery
 calls, so a rename or a changed job shape fails here rather than in the
-benchmark."""
+benchmark. The benchmark's own answer check (``perfbench/run.py``'s
+``verify`` against ``references.json``) runs here too, so a wrong answer
+fails here rather than as ``correct: false``."""
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -13,13 +16,14 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
-def _tracing():
-    """``perfbench/tracing.py`` loaded by path (``perfbench`` is no package);
+def _by_path(name: str):
+    """``perfbench/<name>.py`` loaded by path (``perfbench`` is no package);
     its dataclasses need the module in ``sys.modules`` while it runs."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     try:
@@ -29,7 +33,7 @@ def _tracing():
     return module
 
 
-SITES = [(module, attr) for module, attr, _ in _tracing().FUNCTION_SITES]
+SITES = [(module, attr) for module, attr, _ in _by_path("tracing").FUNCTION_SITES]
 
 
 @pytest.mark.parametrize("module, attr", SITES, ids=[f"{m}.{a}" for m, a in SITES])
@@ -136,3 +140,21 @@ def test_traced_call_passes_the_benchmark_checks(spark, tiny_edges, tiny_mol_db,
     _, serial_nonempty = layers.replay_serial(tracer.level_calls, tiny_mol_db)
     assert serial_nonempty == sum(lc.nonempty_rows for lc in tracer.level_calls)
     assert (serial_nonempty > 0) == (algo == "ted")
+
+
+@pytest.mark.parametrize("name", ["ted-aids", "allg-aids"])
+def test_benchmark_answer_verifies(spark, name):
+    """Each benchmark workload's seed-0 discovery call, made as
+    ``perfbench/run.py`` makes it, passes the benchmark's own ``verify``
+    against the stored reference answer, and a coverage off by one fails
+    it."""
+    from repro.graphdb import molecule_db, to_edges_df
+
+    run = _by_path("run")
+    wl = run.WORKLOADS[name]
+    graphs = molecule_db(wl.profile, wl.n_graphs, seed=0)
+    result = run.discover(wl, spark, to_edges_df(spark, graphs))
+    reference = run.load_reference(name, wl, 0)
+    assert run.verify(result, graphs, reference, 0) == []
+    wrong = dataclasses.replace(result, coverage=result.coverage + 1)
+    assert run.verify(wrong, graphs, reference, 0) != []
