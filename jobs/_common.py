@@ -36,6 +36,12 @@ def get_spark(app_name: str):
         # Workers import the installed pyspark instead of pyspark.zip, so a
         # task does not re-read the archive (see repro/spark_daemon.py).
         .config("spark.python.daemon.module", "repro.spark_daemon")
+        # Workers talk to the JVM over Unix sockets: loopback TCP held each
+        # task's input back about 40 ms. The directory is short and fixed
+        # because a socket path is capped at 108 bytes and the default,
+        # java.io.tmpdir, may be as deep as the checkout it is set under.
+        .config("spark.python.unix.domain.socket.enabled", "true")
+        .config("spark.python.unix.domain.socket.dir", "/tmp")
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

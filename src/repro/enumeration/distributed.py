@@ -56,16 +56,20 @@ partitions, so the driver merges them by union. The job is one pass over
 the graphs, so it reads the uncached :func:`graph_rdd`: caching it would
 add a job and gain nothing.
 
-The partition count is ``defaultParallelism`` (one task per core), not more.
-Each Python task has a fixed cost. It used to be 0.1-0.3 s, because PySpark's
-worker calls ``importlib.invalidate_caches()`` before every task and each
-``zipimporter`` over ``pyspark.zip`` then re-reads its archive; the session's
-daemon (:mod:`repro.spark_daemon`) makes workers import the installed
-pyspark instead, which leaves no zip importer to re-read. With that, and
+The partition count is ``defaultParallelism`` (one task per core), not more,
+because each Python task has a fixed cost. The session
+(``jobs/_common.get_spark`` and :mod:`repro.spark_daemon`) removes three
+parts of it. Workers import the installed pyspark, not ``pyspark.zip``,
+whose importers re-read the archive before every task (0.1-0.3 s). They
+reach the JVM over Unix sockets, where loopback TCP held each task's input
+back about 40 ms. And they are forked from a daemon that imported ``repro``
+and froze its objects, so the ``gc.collect()`` PySpark runs after every task
+no longer scans about 73k objects (30-78 ms). After the first fix, and
 before matching was shared by prefix, on the 1378-pattern level-3 frontier
 of aids_lite-100 on 4 cores (10 alternating rounds), 4 partitions took a
-median 0.60 s, 8 took 0.61 s and 16 took 0.66 s: 4 still has the lowest
-median, by at most 1.1x, where it was 1.5-2.3x before.
+median 0.60 s, 8 took 0.61 s and 16 took 0.66 s: 4 still had the lowest
+median, by at most 1.1x, where it was 1.5-2.3x before. That comparison has
+not been repeated since the other two fixes.
 """
 from __future__ import annotations
 

@@ -11,12 +11,21 @@ with the 16 importers that pyspark's imports leave behind.
 When the same pyspark (and py4j) is installed as a package directory, the
 daemon drops the archive entries from ``sys.path`` before anything imports
 pyspark, so the forked workers import only from directories and that call
-costs nothing. Otherwise the path is left as Spark set it. Either way Spark's
-own daemon then runs. Neither this module's top level nor
-``repro/__init__`` may import pyspark.
+costs nothing. Otherwise the path is left as Spark set it.
+
+The daemon then imports ``repro.enumeration`` (and with it pyspark and the
+matcher) and calls ``gc.freeze()`` before Spark's own daemon starts forking
+workers. Workers start with ``repro`` already imported, and PySpark's worker
+loop runs a full ``gc.collect()`` after every task: in a worker that has run
+a level task that collect scanned about 73k tracked objects, 30-78 ms per
+task, while with the daemon's objects frozen it scans a few dozen, in under
+0.1 ms. Both imports happen under ``__main__`` only: neither this module's
+top level nor ``repro/__init__`` may import pyspark, so that
+:func:`worker_sys_path` runs before anything has imported it.
 """
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import zipfile
@@ -47,6 +56,9 @@ if __name__ == "__main__":
     if path != sys.path:
         sys.path[:] = path
         sys.path_importer_cache.clear()
+    import repro.enumeration  # noqa: F401
     from pyspark.daemon import manager
+
+    gc.freeze()
 
     manager()

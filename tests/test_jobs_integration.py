@@ -20,9 +20,11 @@ def load_job(name: str):
 
 def test_run_all_lists_every_job_once():
     """``run_all.sh`` is the one entrypoint per paper study: it names exactly
-    the job scripts under ``jobs/``, apart from the shared helper module."""
+    the job scripts under ``jobs/``, apart from the shared helper module and
+    the tool that files benchmark rounds (``bench_entry``), which reproduces
+    no study."""
     loop = (JOBS / "run_all.sh").read_text().split("for job in", 1)[1].split(";", 1)[0]
-    scripts = {p.stem for p in JOBS.glob("*.py")} - {"_common"}
+    scripts = {p.stem for p in JOBS.glob("*.py")} - {"_common", "bench_entry"}
     assert sorted(loop.replace("\\", " ").split()) == sorted(scripts)
 
 

@@ -1,6 +1,11 @@
 """The PySpark daemon entry point: which ``sys.path`` the workers get, and
-that the session's workers really import the installed pyspark."""
+that the session's workers really import the installed pyspark, start
+warm from a frozen daemon and reach the JVM over Unix sockets."""
+import os
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 
 import pyspark
 import pytest
@@ -76,3 +81,59 @@ def test_workers_import_installed_pyspark(spark):
     [(worker_file, zips)] = rdd.collect()
     assert worker_file == pyspark.__file__
     assert zips == []
+
+
+def test_workers_come_from_a_warm_frozen_daemon(spark):
+    """Workers are forked from a daemon that imported repro and froze its
+    objects, so the collect PySpark runs after every task scans only what
+    the task left behind; and they reach the JVM over Unix sockets."""
+
+    def report(_):
+        import sys
+
+        warm = "repro.enumeration.gspan" in sys.modules
+        import gc
+        import os
+
+        gc.collect()
+        yield (warm, gc.get_freeze_count(), len(gc.get_objects()),
+               os.environ["PYTHON_UNIX_DOMAIN_ENABLED"])
+
+    [(warm, frozen, tracked, unix)] = (
+        spark.sparkContext.parallelize([0], 1).mapPartitions(report).collect())
+    assert warm
+    assert frozen > 0
+    assert tracked < 10_000
+    # Spark sets the flag to "True"; PySpark's daemon reads it case-insensitively.
+    assert unix.lower() == "true"
+
+
+SESSION_UNDER_LONG_TMPDIR = """
+import pandas as pd
+
+from jobs._common import get_spark
+
+spark = get_spark("long-tmpdir")
+assert spark.sparkContext.parallelize(range(4), 2).map(lambda x: x + 1).collect() == [1, 2, 3, 4]
+assert spark.createDataFrame(pd.DataFrame({"a": [1, 2]})).toPandas()["a"].tolist() == [1, 2]
+spark.stop()
+"""
+
+
+def test_session_starts_under_a_long_temp_dir(tmp_path):
+    """A session whose JVM temp dir is deep enough that a worker socket
+    placed there would pass the 108-byte cap on a Unix socket path still
+    runs Python tasks: the sockets go to a short, fixed directory."""
+    root = Path(__file__).resolve().parents[1]
+    tmp = tmp_path / "t"
+    tmp = Path(str(tmp) + "x" * (100 - len(str(tmp))))
+    tmp.mkdir()
+    assert len(str(tmp)) == 100
+    env = {k: v for k, v in os.environ.items() if k != "PYSPARK_SUBMIT_ARGS"}
+    env.update(
+        PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+        SPARK_MASTER="local[2]", SPARK_DRIVER_MEM="1g", TMPDIR=str(tmp),
+        JAVA_TOOL_OPTIONS=f"-Djava.io.tmpdir={tmp}")
+    proc = subprocess.run([sys.executable, "-c", SESSION_UNDER_LONG_TMPDIR], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]
