@@ -123,11 +123,10 @@ def table6_vqf(spark, setups: list[VqfSetup]) -> list[dict]:
     for s in setups:
         n_db = len(s.db)
         union = list(dict.fromkeys(c for codes in s.pattern_sets.values() for c in codes))
-        with GraphDB.build(s.edges) as db:
-            support = {
-                ps.code: ps.support
-                for ps in match_level(spark, db, union, want_extensions=False)
-            }
+        support = {
+            ps.code: ps.support
+            for ps in match_level(spark, GraphDB.build(s.edges), union, want_extensions=False)
+        }
         for qi, q in enumerate(s.queries, 1):
             row = {"dataset": s.dataset, "query": f"Q{qi}", "|E(Q)|": q.n_edges}
             for name, codes in s.pattern_sets.items():

@@ -94,15 +94,15 @@ def enumerate_cover_sets(
     if min_support_frac == 0:
         return _mine_tree(edges, e_max=e_max, time_limit_s=time_limit_s)
     sets: dict[DFSCode, frozenset[int]] = {}
-    with GraphDB.build(edges) as db:
-        stats = enumerate_gspan(
-            spark,
-            db,
-            e_max=e_max,
-            min_support_frac=min_support_frac,
-            visitor=lambda ps: sets.__setitem__(ps.code, ps.cover),
-            time_limit_s=time_limit_s,
-        )
+    db = GraphDB.build(edges)
+    stats = enumerate_gspan(
+        spark,
+        db,
+        e_max=e_max,
+        min_support_frac=min_support_frac,
+        visitor=lambda ps: sets.__setitem__(ps.code, ps.cover),
+        time_limit_s=time_limit_s,
+    )
     return sets, stats, {"edges": sum(per_graph_edge_counts(db).values()),
                          "handle_s": db.build_s}
 

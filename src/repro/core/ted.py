@@ -135,46 +135,46 @@ def ted(
     use_ips = variant in ("ips", "ted")
     t0 = time.perf_counter()
 
-    with GraphDB.build(edges) as db:
-        edge_counts = per_graph_edge_counts(db)
-        maintainer = PatternMaintainer(k=k, alpha=alpha)
-        matched: dict[DFSCode, PatternLevelStats] = {}  # IPS's stats, reused by the enumeration
+    db = GraphDB.build(edges)
+    edge_counts = per_graph_edge_counts(db)
+    maintainer = PatternMaintainer(k=k, alpha=alpha)
+    matched: dict[DFSCode, PatternLevelStats] = {}  # IPS's stats, reused by the enumeration
 
-        if use_ips:
-            for code, cover in ips_initial_patterns(
-                spark, db, k=k, e_max=e_max, e_min=e_min, matched=matched,
-            ):
-                maintainer.offer(code, cover)
-        # read before the enumeration pops entries, so IPS-only patterns count too
-        ips_truncated = any(ps.truncated for ps in matched.values())
+    if use_ips:
+        for code, cover in ips_initial_patterns(
+            spark, db, k=k, e_max=e_max, e_min=e_min, matched=matched,
+        ):
+            maintainer.offer(code, cover)
+    # read before the enumeration pops entries, so IPS-only patterns count too
+    ips_truncated = any(ps.truncated for ps in matched.values())
 
-        def visitor(ps: PatternLevelStats) -> None:
-            if len(ps.code) < e_min:  # below the pattern budget's MinE
-                return
-            if ps.code in maintainer:  # already in P (seeded by IPS)
-                return
-            maintainer.offer(ps.code, ps.cover)
+    def visitor(ps: PatternLevelStats) -> None:
+        if len(ps.code) < e_min:  # below the pattern budget's MinE
+            return
+        if ps.code in maintainer:  # already in P (seeded by IPS)
+            return
+        maintainer.offer(ps.code, ps.cover)
 
-        def prm_filter(ps: PatternLevelStats) -> bool:
-            # Definition 7: extend only if even covering every currently
-            # uncovered edge of the graphs containing g could beat the swap
-            # threshold. Before P is full there is no threshold — always extend.
-            if len(maintainer) < k:
-                return True
-            covered = maintainer.index.covered_per_graph
-            bound = sum(edge_counts[g] - covered.get(g, 0) for g in ps.support_gids)
-            return bound >= maintainer.swap_threshold()
+    def prm_filter(ps: PatternLevelStats) -> bool:
+        # Definition 7: extend only if even covering every currently
+        # uncovered edge of the graphs containing g could beat the swap
+        # threshold. Before P is full there is no threshold — always extend.
+        if len(maintainer) < k:
+            return True
+        covered = maintainer.index.covered_per_graph
+        bound = sum(edge_counts[g] - covered.get(g, 0) for g in ps.support_gids)
+        return bound >= maintainer.swap_threshold()
 
-        enum_stats = enumerate_gspan(
-            spark,
-            db,
-            e_max=e_max,
-            min_support_frac=0.0,
-            visitor=visitor,
-            extend_filter=prm_filter if use_prm else None,
-            time_limit_s=time_limit_s,
-            matched=matched,
-        )
+    enum_stats = enumerate_gspan(
+        spark,
+        db,
+        e_max=e_max,
+        min_support_frac=0.0,
+        visitor=visitor,
+        extend_filter=prm_filter if use_prm else None,
+        time_limit_s=time_limit_s,
+        matched=matched,
+    )
     elapsed = time.perf_counter() - t0
     idx = maintainer.index
     return AlgoResult(

@@ -2,16 +2,17 @@
 (:func:`match_level`), or a whole pattern tree (:func:`mine_tree`).
 
 Both jobs run one task per partition of
-:func:`repro.graphdb.spark_io.graph_rdd`: the edge table hashed on
-``graph_id`` into ``defaultParallelism`` partitions and rebuilt into
-:class:`Graph` objects, so every graph lies whole in one partition. The
-level jobs of a discovery call read the call's
-:class:`repro.graphdb.spark_io.GraphDB`, which caches that RDD, so no level
-job shuffles the edge table or rebuilds a graph. A partition with no graphs
-emits nothing.
+:func:`repro.graphdb.spark_io.graph_rdd`: the database's graphs, rebuilt
+on the driver from one collect of the edge table and dealt into
+``defaultParallelism`` partitions balanced by edge count, so every graph
+lies whole in one partition. The graphs travel pickled in the tasks, so no
+job shuffles the edge table or rebuilds a graph from rows. The level jobs
+of a discovery call read the call's
+:class:`repro.graphdb.spark_io.GraphDB`. A partition with no graphs emits
+nothing.
 
-**The level job.** The frontier (a list of DFS codes) is broadcast as the
-bare codes, and each task matches it against its graphs with
+**The level job.** The frontier (a list of DFS codes) travels as the bare
+codes in the task closure, and each task matches it against its graphs with
 :func:`repro.isomorphism.matcher.match_frontier`, the one frontier matcher
 both jobs share. It groups the frontier by parent (``code[:-1]``, under
 rightmost extension), enumerates each parent's embeddings once per graph,
@@ -21,11 +22,13 @@ empty parent and are matched directly; where the parent or a child reaches
 the embedding cap, that child is matched from the root, so every row is
 exactly what ``match_stats`` gives. The level job keeps no embeddings
 between levels. Preparing the frontier in the tasks rather than on the
-driver keeps the pattern graphs out of the broadcast: the 5150 codes of
+driver keeps the pattern graphs out of the closure: the 5150 codes of
 level 4 on aids_lite-100 pickle to 175 KB and unpickle in about 2 ms, where
 the prepared frontier took 774 KB and about 60 ms, on one core of a 4-vCPU
-VM. The job is a DataFrame over the tasks' rows, one row per (pattern,
-graph) with embeddings:
+VM. The closure goes with each of the level's tasks, so a level creates
+and destroys no broadcast (PySpark broadcasts a closure by itself only
+past 1 MB). The job is a DataFrame over the tasks' rows, one row per
+(pattern, graph) with embeddings:
 
     (pattern_id, graph_id, covered: array<long>, exts: array<string>,
      truncated: boolean)
@@ -35,9 +38,7 @@ are disjoint across graphs and per-pattern totals are plain sums; ``exts``
 is empty when the caller asks for no extensions (a level at ``E_max``). The
 driver folds the rows into :class:`PatternLevelStats` for PES-Index
 maintenance — the only state that must be sequential (it is the paper's
-swapping stream). :func:`match_level` owns the level's broadcast and
-destroys it once the rows are collected, so its file in the session's
-temporary directory does not outlive the level.
+swapping stream).
 
 **The tree job.** :func:`mine_tree` runs the whole level loop in each task:
 :func:`repro.enumeration.gspan.mine_graphs`, which matches each level over
@@ -52,9 +53,8 @@ returns the ``(code, cover)`` of every pattern that occurs in its graphs,
 the cover as global edge keys over those graphs, and its counters (see
 :data:`TASK_COUNTERS`), among them its graphs' edge count, which the
 driver sums into the database's edge total. Covers are disjoint across
-partitions, so the driver merges them by union. The job is one pass over
-the graphs, so it reads the uncached :func:`graph_rdd`: caching it would
-add a job and gain nothing.
+partitions, so the driver merges them by union. The partitions are
+balanced by edge count, not by matching work, so task times still differ.
 
 The partition count is ``defaultParallelism`` (one task per core), not more,
 because each Python task has a fixed cost. The session
@@ -77,7 +77,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import (
     ArrayType,
@@ -221,24 +220,21 @@ class ProjectedMatcher:
 def match_level_df(
     spark: SparkSession,
     db: GraphDB,
-    codes: list[DFSCode] | Broadcast,
+    codes: list[DFSCode],
     *,
     want_extensions: bool = True,
 ) -> DataFrame:
     """The level job as a lazy DataFrame (schema :data:`LEVEL_SCHEMA`).
 
-    ``codes`` is the frontier, or a Spark broadcast of it that the caller
-    destroys after collecting the rows; a plain list is broadcast here and
-    the broadcast lives as long as the session. The bare codes are shipped
-    once per executor. Each task matches the whole frontier against the
-    graphs of its partition of ``db.graphs`` with
-    :func:`repro.isomorphism.matcher.match_frontier`, keeping nothing.
+    The frontier ``codes`` travels as bare codes in the task closure. Each
+    task matches the whole frontier against the graphs of its partition of
+    ``db.graphs`` with :func:`repro.isomorphism.matcher.match_frontier`,
+    keeping nothing.
     """
-    bc = codes if isinstance(codes, Broadcast) else spark.sparkContext.broadcast(codes)
     want_ext = want_extensions
 
     def run_partition(graphs: Iterator[Graph]) -> Iterator[tuple]:
-        for pid, g, ms, _ in match_frontier(bc.value, list(graphs), want_extensions=want_ext):
+        for pid, g, ms, _ in match_frontier(codes, list(graphs), want_extensions=want_ext):
             yield (
                 pid,
                 g.gid,
@@ -261,14 +257,9 @@ def match_level(
     and fold its rows into per-pattern aggregates.
 
     Returns one entry per input code, in input order (patterns with zero
-    support get empty aggregates). The frontier's broadcast is destroyed
-    once the rows are collected.
+    support get empty aggregates).
     """
-    bc = spark.sparkContext.broadcast(list(codes))
-    try:
-        pdf = match_level_df(spark, edges, bc, want_extensions=want_extensions).toPandas()
-    finally:
-        bc.destroy()
+    pdf = match_level_df(spark, edges, codes, want_extensions=want_extensions).toPandas()
     decoded: dict[str, Edge5] = {}  # each distinct extension string is parsed once
 
     def ext(s: str) -> Edge5:
@@ -315,4 +306,5 @@ def mine_tree(
                     int(st.truncated), int(st.timed_out), round(time.perf_counter() - t0, 4))
         yield [(ps.code, ps.cover) for ps in found], dict(zip(TASK_COUNTERS, counters))
 
-    return graph_rdd(edges).mapPartitions(run_partition).collect()
+    _, graphs = graph_rdd(edges)
+    return graphs.mapPartitions(run_partition).collect()

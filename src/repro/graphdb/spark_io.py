@@ -5,28 +5,34 @@ A database is one edge DataFrame with schema :data:`EDGE_SCHEMA` —
 ``(graph_id, eid, u, v, ul, vl, el)`` with ``u < v`` and ``ul``/``vl`` the
 endpoint vertex labels (denormalized so matching never needs a vertex-table
 join). :func:`graph_rdd` is the one place where edge rows become
-:class:`Graph` objects: it hashes the table on ``graph_id`` into one
-partition per core, so each graph lies whole in one partition, and
-rebuilds each partition's graphs with :func:`graphs_from_rows`. A discovery
-call builds a :class:`GraphDB` from it once: the graph RDD cached for the
-call, plus the per-graph edge counts and the edge-label triples of one
-collect pass over it. Every later job of the call only reads the handle.
-:func:`db_stats` stays a DataFrame aggregation; it, the handle's counts and
-its triples are oracle-checked against DuckDB in the tests.
+:class:`Graph` objects: it collects the table to the driver in one job,
+rebuilds the graphs there with :func:`graphs_from_rows`, and deals them
+into one partition per core, balanced by edge count, so each graph lies
+whole in one partition and no partition holds many more edges than
+another. The RDD ships the graphs from the driver, so a job over it runs
+no shuffle and no Python build stage, and there is nothing to cache. A
+discovery call builds a :class:`GraphDB` once: that RDD plus the per-graph
+edge counts and edge-label triples, read from the driver-side graphs.
+Every later job of the call only reads the handle. :func:`db_stats` stays
+a DataFrame aggregation; it, the handle's counts and its triples are
+oracle-checked against DuckDB in the tests.
 """
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import pandas as pd
 from pyspark import RDD
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StringType, StructField, StructType
 
 from repro.graphdb.model import Graph
+
+if TYPE_CHECKING:
+    import pandas as pd
 
 EDGE_SCHEMA = StructType(
     [
@@ -41,8 +47,10 @@ EDGE_SCHEMA = StructType(
 )
 
 
-def to_edges_pandas(graphs: list[Graph]) -> pd.DataFrame:
+def to_edges_pandas(graphs: list[Graph]) -> "pd.DataFrame":
     """Flatten a list of graphs into the edge-table pandas frame."""
+    import pandas as pd  # not at the top: Spark's workers import this module
+
     rows = [
         (g.gid, eid, u, v, g.vlabels[u], g.vlabels[v], el)
         for g in graphs
@@ -78,49 +86,54 @@ def graphs_from_rows(rows: Iterable[tuple]) -> list[Graph]:
     return out
 
 
-def graph_rdd(edges: DataFrame) -> RDD:
-    """The edge table as an RDD of :class:`Graph` objects, hashed on
-    ``graph_id`` into ``defaultParallelism`` partitions (one task per core),
-    each graph whole in one partition. A shuffle with an explicit partition
-    count is never coalesced by adaptive query execution."""
-    n = edges.sparkSession.sparkContext.defaultParallelism
-    return edges.repartition(n, "graph_id").rdd.mapPartitions(graphs_from_rows)
+def balanced_bins(graphs: list[Graph], n: int) -> list[list[Graph]]:
+    """Deal ``graphs`` into ``n`` bins by edge count: largest graph first,
+    each into the least-loaded bin (lowest index on a tie). Any two bins'
+    edge loads then differ by at most the largest graph's edge count. Each
+    bin is in graph-id order."""
+    heap = [(0, i) for i in range(n)]
+    bins: list[list[Graph]] = [[] for _ in range(n)]
+    for g in sorted(graphs, key=lambda g: (-g.n_edges, g.gid)):
+        load, i = heapq.heappop(heap)
+        bins[i].append(g)
+        heapq.heappush(heap, (load + g.n_edges, i))
+    return [sorted(b, key=lambda g: g.gid) for b in bins]
+
+
+def graph_rdd(edges: DataFrame) -> tuple[list[Graph], RDD]:
+    """The edge table's graphs, rebuilt on the driver from one collect, and
+    the same graphs as an RDD of ``defaultParallelism`` partitions (one task
+    per core) dealt by :func:`balanced_bins`, each graph whole in one
+    partition. Each partition's graphs travel pickled in its tasks, so a
+    job over the RDD reads no table and runs no shuffle."""
+    graphs = graphs_from_rows(edges.toPandas().itertuples(index=False))
+    sc = edges.sparkSession.sparkContext
+    n = sc.defaultParallelism
+    return graphs, sc.parallelize(balanced_bins(graphs, n), n).flatMap(lambda b: b)
 
 
 @dataclass
 class GraphDB:
-    """A graph database resident in Spark for one discovery call. Build it
-    with :meth:`build` and use it in a ``with`` block, which unpersists its
-    cache on exit, so the cache does not outlive the call."""
+    """A graph database ready for the Spark jobs of one discovery call.
+    It holds no Spark cache, so it needs no release."""
 
-    graphs: RDD                                 # cached Graphs, see graph_rdd
+    graphs: RDD                                 # Graphs, see graph_rdd
     edge_counts: dict[int, int]                 # {graph_id: |E(G)|}
     triples: frozenset[tuple[str, str, str]]    # (min label, edge label, max label)
     build_s: float                              # wall time of build()
 
     @classmethod
     def build(cls, edges: DataFrame) -> "GraphDB":
-        """Cache :func:`graph_rdd` of ``edges`` and read its edge counts and
-        triples in the pass that fills the cache."""
+        """:func:`graph_rdd` of ``edges``, with the edge counts and triples
+        of the driver-side graphs it rebuilt."""
         t0 = time.perf_counter()
-        graphs = graph_rdd(edges).cache()
-        try:
-            summary = graphs.map(lambda g: (g.gid, g.n_edges, g.edge_triple_set)).collect()
-        except BaseException:
-            graphs.unpersist()
-            raise
+        graphs, rdd = graph_rdd(edges)
         return cls(
-            graphs=graphs,
-            edge_counts={gid: n for gid, n, _ in summary},
-            triples=frozenset().union(*(t for _, _, t in summary)),
+            graphs=rdd,
+            edge_counts={g.gid: g.n_edges for g in graphs},
+            triples=frozenset().union(*(g.edge_triple_set for g in graphs)),
             build_s=time.perf_counter() - t0,
         )
-
-    def __enter__(self) -> "GraphDB":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.graphs.unpersist()
 
 
 def db_stats(edges: DataFrame) -> DataFrame:

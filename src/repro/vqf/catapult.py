@@ -42,16 +42,16 @@ def catapult_lite(
 
     ``e_min`` is the VQF pattern budget's minimum size (MinE)."""
     cands: list[tuple[DFSCode, int]] = []
-    with GraphDB.build(edges) as db:
-        enumerate_gspan(
-            spark,
-            db,
-            e_max=e_max,
-            min_support_frac=sup_min,
-            visitor=lambda ps: cands.append((ps.code, ps.support))
-            if len(ps.code) >= e_min
-            else None,
-        )
+    db = GraphDB.build(edges)
+    enumerate_gspan(
+        spark,
+        db,
+        e_max=e_max,
+        min_support_frac=sup_min,
+        visitor=lambda ps: cands.append((ps.code, ps.support))
+        if len(ps.code) >= e_min
+        else None,
+    )
     n_graphs = len(db.edge_counts)
     cands.sort(key=lambda t: code_key(t[0]))  # deterministic base order
     triples = {code: code_to_graph(code).edge_triple_set for code, _ in cands}

@@ -49,16 +49,15 @@ def top_k_frequent(
     """Mine frequent subgraphs, keep the maximal ones, return the top-k as
     (code, support). ``e_min`` is the VQF pattern budget's minimum size."""
     found: list[tuple[DFSCode, int]] = []
-    with GraphDB.build(edges) as db:
-        enumerate_gspan(
-            spark,
-            db,
-            e_max=e_max,
-            min_support_frac=sup_min,
-            visitor=lambda ps: found.append((ps.code, ps.support))
-            if len(ps.code) >= e_min
-            else None,
-        )
+    enumerate_gspan(
+        spark,
+        GraphDB.build(edges),
+        e_max=e_max,
+        min_support_frac=sup_min,
+        visitor=lambda ps: found.append((ps.code, ps.support))
+        if len(ps.code) >= e_min
+        else None,
+    )
     maximal = _maximal(found)
     maximal.sort(key=lambda t: (-t[1], -len(t[0]), code_key(t[0])))
     return maximal[:k]

@@ -1,7 +1,7 @@
 """Shared fixtures for Spark-dependent tests: one tiny molecule database,
 its cached edge DataFrame and its graph-resident handle, reused across the
-whole session, plus a one-graph clique database on which the matcher's
-embedding cap triggers."""
+whole session, the benchmark's aids_lite-100 edge table, plus a one-graph
+clique database on which the matcher's embedding cap triggers."""
 import pytest
 
 from repro.graphdb.generator import molecule_db
@@ -24,6 +24,15 @@ def tiny_edges(spark, tiny_mol_db):
 
 
 @pytest.fixture(scope="session")
+def aids_edges(spark):
+    """aids_lite-100, seed 0: the benchmark's database."""
+    df = to_edges_df(spark, molecule_db("aids_lite", 100, seed=0)).cache()
+    df.count()
+    yield df
+    df.unpersist()
+
+
+@pytest.fixture(scope="session")
 def clique_edges(spark):
     """One single-label 7-clique. The 4-edge path and 4-star have 2520
     embeddings each, over the 2000 cap; no pattern of <= 3 edges has more
@@ -39,12 +48,10 @@ def clique_edges(spark):
 @pytest.fixture(scope="session")
 def tiny_db(tiny_edges):
     """The :class:`GraphDB` handle of ``tiny_edges``."""
-    with GraphDB.build(tiny_edges) as db:
-        yield db
+    return GraphDB.build(tiny_edges)
 
 
 @pytest.fixture(scope="session")
 def clique_db(clique_edges):
     """The :class:`GraphDB` handle of ``clique_edges``."""
-    with GraphDB.build(clique_edges) as db:
-        yield db
+    return GraphDB.build(clique_edges)

@@ -99,8 +99,8 @@ class TestMatchLevel:
         assert [ps.truncated for ps in bare] == [False, True]
 
     def test_frees_broadcasts(self, spark, tiny_db):
-        """Each level's broadcast file leaves the session's temporary
-        directory once the level's rows are collected."""
+        """No level leaves a file in the session's temporary directory:
+        the frontier travels in the task closure, not in a broadcast."""
         tmp = spark.sparkContext._temp_dir
         codes = level1_codes(tiny_db)
         match_level(spark, tiny_db, codes)
@@ -181,8 +181,7 @@ class TestInputPartitioning:
         graphs_cut = parts.groupBy("graph_id").count().where("count > 1").count()
         assert (graphs_cut > 0) == (edges.rdd.getNumPartitions() > 1)
         expected = match_level(spark, tiny_db, two_level_codes)
-        with GraphDB.build(edges) as db:
-            assert match_level(spark, db, two_level_codes) == expected
+        assert match_level(spark, GraphDB.build(edges), two_level_codes) == expected
 
     def test_ted_identical(self, spark, tiny_edges, ted_on_tiny, resplit):
         r = ted(spark, resplit(tiny_edges), k=3, e_max=3, variant="ted")
@@ -192,19 +191,9 @@ class TestInputPartitioning:
 def driver_stream(spark, edges, e_max):
     """S as the driver loop streams it, ``[(code, cover)]``, and its stats."""
     seen = []
-    with GraphDB.build(edges) as db:
-        stats = enumerate_gspan(spark, db, e_max=e_max,
-                                visitor=lambda ps: seen.append((ps.code, ps.cover)))
+    stats = enumerate_gspan(spark, GraphDB.build(edges), e_max=e_max,
+                            visitor=lambda ps: seen.append((ps.code, ps.cover)))
     return seen, stats
-
-
-@pytest.fixture(scope="module")
-def aids_edges(spark):
-    """aids_lite-100, seed 0: the benchmark's database."""
-    df = to_edges_df(spark, molecule_db("aids_lite", 100, seed=0)).cache()
-    df.count()
-    yield df
-    df.unpersist()
 
 
 class TestTreeJob:
@@ -298,11 +287,10 @@ class TestTreeJob:
                        [(0, i) for i in range(1, n_leaves + 1)] + [(1, n_leaves + 1)]),
         ]
         expected = []
-        with GraphDB.build(to_edges_df(spark, db)) as gdb:
-            stats = enumerate_gspan(
-                spark, gdb, e_max=e_max,
-                visitor=lambda ps: expected.append((ps.code, ps.support_gids, ps.cover, ps.truncated)),
-            )
+        stats = enumerate_gspan(
+            spark, GraphDB.build(to_edges_df(spark, db)), e_max=e_max,
+            visitor=lambda ps: expected.append((ps.code, ps.support_gids, ps.cover, ps.truncated)),
+        )
         found, tree_stats = mine_graphs(db, e_max=e_max)
         assert [(ps.code, ps.support_gids, ps.cover, ps.truncated) for ps in found] == expected
         assert tree_stats == stats and stats.truncated
@@ -362,8 +350,7 @@ class TestGSpanVsBruteForce:
     def test_same_patterns_supports_covers(self, spark, seed):
         db = tiny_db(seed, n_graphs=6, n_min=4, n_max=7)
         seen = {}
-        with GraphDB.build(to_edges_df(spark, db)) as gdb:
-            enumerate_gspan(spark, gdb, e_max=3, visitor=lambda ps: seen.__setitem__(ps.code, ps))
+        enumerate_gspan(spark, GraphDB.build(to_edges_df(spark, db)), e_max=3, visitor=lambda ps: seen.__setitem__(ps.code, ps))
         bf = distinct_patterns_bruteforce(db, 3)
         assert len(seen) == len(bf)
         bf_keyed = {}

@@ -84,24 +84,27 @@ def test_workers_import_installed_pyspark(spark):
 
 
 def test_workers_come_from_a_warm_frozen_daemon(spark):
-    """Workers are forked from a daemon that imported repro and froze its
-    objects, so the collect PySpark runs after every task scans only what
-    the task left behind; and they reach the JVM over Unix sockets."""
+    """Workers are forked from a daemon that imported repro, but not
+    pandas, which no task uses, and froze its objects, so the collect
+    PySpark runs after every task scans only what the task left behind;
+    and they reach the JVM over Unix sockets."""
 
     def report(_):
         import sys
 
         warm = "repro.enumeration.gspan" in sys.modules
+        pandas = "pandas" in sys.modules
         import gc
         import os
 
         gc.collect()
-        yield (warm, gc.get_freeze_count(), len(gc.get_objects()),
+        yield (warm, pandas, gc.get_freeze_count(), len(gc.get_objects()),
                os.environ["PYTHON_UNIX_DOMAIN_ENABLED"])
 
-    [(warm, frozen, tracked, unix)] = (
+    [(warm, pandas, frozen, tracked, unix)] = (
         spark.sparkContext.parallelize([0], 1).mapPartitions(report).collect())
     assert warm
+    assert not pandas
     assert frozen > 0
     assert tracked < 10_000
     # Spark sets the flag to "True"; PySpark's daemon reads it case-insensitively.

@@ -77,6 +77,36 @@ CALLS = {
 }
 
 
+class TestBalancedHandle:
+    """The handle comes from one collect of the edge table, and its graphs
+    are dealt into partitions by edge count (aids_lite-100)."""
+
+    def test_build_runs_one_job_of_one_stage(self, spark, aids_edges):
+        """No shuffle: the collect is the build's only job and stage."""
+        sc = spark.sparkContext
+        keys = ("spark.jobGroup.id", "spark.job.description", "spark.job.interruptOnCancel")
+        caller = {k: sc.getLocalProperty(k) for k in keys}
+        group = "test-graphdb-build"
+        sc.setJobGroup(group, group)
+        try:
+            GraphDB.build(aids_edges)
+        finally:
+            for k, v in caller.items():
+                sc.setLocalProperty(k, v)
+        st = sc.statusTracker()
+        [job] = st.getJobIdsForGroup(group)
+        assert len(st.getJobInfo(job).stageIds) == 1
+
+    def test_partitions_hold_each_graph_once_balanced_by_edges(self, spark, aids_edges):
+        db = GraphDB.build(aids_edges)
+        parts = db.graphs.glom().map(lambda gs: [(g.gid, g.n_edges) for g in gs]).collect()
+        assert len(parts) == spark.sparkContext.defaultParallelism
+        gids = [gid for part in parts for gid, _ in part]
+        assert sorted(gids) == sorted(db.edge_counts)
+        loads = [sum(n for _, n in part) for part in parts]
+        assert max(loads) - min(loads) <= max(db.edge_counts.values())
+
+
 def _persisted(spark) -> int:
     return spark.sparkContext._jsc.getPersistentRDDs().size()
 
