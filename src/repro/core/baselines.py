@@ -18,9 +18,11 @@ level over the call's :class:`repro.graphdb.spark_io.GraphDB`. The tracer
 sees no level job of the tree job, so ALL_g, ALL_t and OPT report its
 phases and per-task counters in ``AlgoResult.extra``.
 
-The database's edge total (``AlgoResult.total_edges``) comes from the tree
-job too: each task counts its graphs' edges. FSG reads it from its handle
-with :func:`repro.graphdb.spark_io.per_graph_edge_counts`.
+Every method builds the call's handle first and runs its enumeration on
+it, so each reports the handle's build time (``extra["handle_s"]``) and
+reads the database's edge total (``AlgoResult.total_edges``) from it with
+:func:`repro.graphdb.spark_io.per_graph_edge_counts`. ``time_limit_s``
+counts from the call's start, the handle's build included.
 """
 from __future__ import annotations
 
@@ -39,24 +41,25 @@ from repro.maxcover.greedy import greedy_max_cover
 
 
 def _mine_tree(
-    edges: DataFrame, *, e_max: int, time_limit_s: float | None
+    db: GraphDB, *, e_max: int, time_limit_s: float | None
 ) -> tuple[dict[DFSCode, frozenset[int]], EnumStats, dict]:
     """S from the tree job: each pattern's cover merged over the tasks, in
-    stream order ``(len(code), code_key(code))``. The counters are summed
-    over tasks (``levels`` and ``peak_frontier`` are maxima); ``n_matched``
-    counts (pattern, task) pairs and ``n_children_nonmin`` repeats a
-    rejection in every task whose graphs hold the parent. The report holds
-    the database's edge total, the job and merge times and one counter dict
-    per non-empty task."""
+    stream order ``(len(code), code_key(code))``. A cover one task holds is
+    kept as that task's frozenset; only the covers of codes several tasks
+    hold are united. The counters are summed over tasks (``levels`` and
+    ``peak_frontier`` are maxima); ``n_matched`` counts (pattern, task)
+    pairs and ``n_children_nonmin`` repeats a rejection in every task whose
+    graphs hold the parent. The report holds the job and merge times and
+    one counter dict per non-empty task."""
     t0 = time.perf_counter()
-    results = mine_tree(edges, e_max=e_max, time_limit_s=time_limit_s)
+    results = mine_tree(db, e_max=e_max, time_limit_s=time_limit_s)
     t1 = time.perf_counter()
-    covers: dict[DFSCode, set[int]] = {}
+    held: dict[DFSCode, list[frozenset[int]]] = {}
     for found, _ in results:
         for code, cover in found:
-            covers.setdefault(code, set()).update(cover)
-    sets = {code: frozenset(covers[code])
-            for code in sorted(covers, key=lambda c: (len(c), code_key(c)))}
+            held.setdefault(code, []).append(cover)
+    sets = {code: covers[0] if len(covers) == 1 else frozenset().union(*covers)
+            for code, covers in sorted(held.items(), key=lambda kv: (len(kv[0]), code_key(kv[0])))}
     tasks = [counters for _, counters in results]
     stats = EnumStats(
         n_matched=sum(t["patterns"] for t in tasks),
@@ -68,33 +71,30 @@ def _mine_tree(
         truncated=any(t["truncated"] for t in tasks),
         peak_frontier=max((t["peak_frontier"] for t in tasks), default=0),
     )
-    report = {"edges": sum(t["edges"] for t in tasks),
-              "phases": {"mining_s": t1 - t0, "merge_s": time.perf_counter() - t1},
+    report = {"phases": {"mining_s": t1 - t0, "merge_s": time.perf_counter() - t1},
               "partitions": tasks}
     return sets, stats, report
 
 
 def enumerate_cover_sets(
     spark: SparkSession,
-    edges: DataFrame,
+    db: GraphDB,
     *,
     e_max: int,
     min_support_frac: float = 0.0,
     time_limit_s: float | None = None,
 ) -> tuple[dict[DFSCode, frozenset[int]], EnumStats, dict]:
     """Materialize S (Algorithm 1 line 1 / Algorithm 2 line 1): every
-    enumerated pattern's cover set, in DFS-code stream order. Returns
-    ``(sets, stats, report)``; ``stats`` says whether the enumeration timed
-    out or hit the embedding cap, and ``report`` holds the database's edge
-    total (``edges``) plus what the run reports in ``AlgoResult.extra``.
-    With ``min_support_frac == 0`` S is mined by the tree job (see
-    :func:`_mine_tree`), else by the driver loop over a :class:`GraphDB`
-    built for the call, whose level jobs the tracer sees, and the report
-    holds the handle's build time (``handle_s``)."""
+    enumerated pattern's cover set in the database ``db``, in DFS-code
+    stream order. Returns ``(sets, stats, report)``; ``stats`` says whether
+    the enumeration timed out or hit the embedding cap, and ``report`` holds
+    what the run reports in ``AlgoResult.extra``. With
+    ``min_support_frac == 0`` S is mined by the tree job (see
+    :func:`_mine_tree`), else by the driver loop, whose level jobs the
+    tracer sees, and the report is empty."""
     if min_support_frac == 0:
-        return _mine_tree(edges, e_max=e_max, time_limit_s=time_limit_s)
+        return _mine_tree(db, e_max=e_max, time_limit_s=time_limit_s)
     sets: dict[DFSCode, frozenset[int]] = {}
-    db = GraphDB.build(edges)
     stats = enumerate_gspan(
         spark,
         db,
@@ -103,8 +103,7 @@ def enumerate_cover_sets(
         visitor=lambda ps: sets.__setitem__(ps.code, ps.cover),
         time_limit_s=time_limit_s,
     )
-    return sets, stats, {"edges": sum(per_graph_edge_counts(db).values()),
-                         "handle_s": db.build_s}
+    return sets, stats, {}
 
 
 def _candidate_bytes(sets: dict[DFSCode, frozenset[int]]) -> int:
@@ -126,14 +125,15 @@ def _run_materialized(
     time_limit_s: float | None = None,
 ) -> AlgoResult:
     t0 = time.perf_counter()
+    db = GraphDB.build(edges)
+    total_edges = sum(per_graph_edge_counts(db).values())
     sets, enum_stats, report = enumerate_cover_sets(
         spark,
-        edges,
+        db,
         e_max=e_max,
         min_support_frac=min_support_frac,
-        time_limit_s=time_limit_s,
+        time_limit_s=None if time_limit_s is None else time_limit_s - (time.perf_counter() - t0),
     )
-    total_edges = report.pop("edges")
     t_select = time.perf_counter()
     index_time = 0.0
     index_bytes = 0
@@ -164,6 +164,7 @@ def _run_materialized(
         # matched per task, and non-minimal children rejected per task.
         "n_matched": enum_stats.n_matched,
         "n_children_nonmin": enum_stats.n_children_nonmin,
+        "handle_s": db.build_s,
         **report,
     }
     if "phases" in extra:

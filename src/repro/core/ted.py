@@ -53,10 +53,10 @@ def ips_initial_patterns(
     matched = {} if matched is None else matched
     root_stats = match_level(spark, db, level1_codes(db), want_extensions=e_max > 1)
     matched.update((ps.code, ps) for ps in root_stats)
-    # chain state: (current stats, done?)
-    chains: list[PatternLevelStats] = [ps for ps in root_stats if ps.support > 0]
-    active = [ps for ps in chains if len(ps.code) < e_max and ps.extensions]
-    settled = [ps for ps in chains if ps not in active]
+    # one chain per root; every root is one of the database's own edge
+    # triples, so none has support 0
+    active = [ps for ps in root_stats if len(ps.code) < e_max and ps.extensions]
+    settled = [ps for ps in root_stats if ps not in active]
     while active:
         # one job for every chain's candidate children
         cand_codes: list[DFSCode] = []
@@ -94,17 +94,8 @@ def ips_initial_patterns(
                 settled.append(ps)  # no improving child — chain done
         active = next_active
     settled.sort(key=lambda ps: (-ps.coverage, code_key(ps.code)))
-    picked: list[tuple[DFSCode, frozenset[int]]] = []
-    seen: set[DFSCode] = set()
-    for ps in settled:
-        if len(ps.code) < e_min:
-            continue
-        if ps.code not in seen:
-            seen.add(ps.code)
-            picked.append((ps.code, ps.cover))
-        if len(picked) == k:
-            break
-    return picked
+    # no two chains settle on one code: every code of a chain starts with its root's entry
+    return [(ps.code, ps.cover) for ps in settled if len(ps.code) >= e_min][:k]
 
 
 def ted(
@@ -128,7 +119,10 @@ def ted(
 
     ``truncated`` is set when any pattern matched, by IPS or by the
     enumeration, hit the matcher's embedding cap, so its cover set (and
-    possibly its extensions) may be incomplete."""
+    possibly its extensions) may be incomplete.
+
+    ``time_limit_s`` counts from the call's start: the handle's build and
+    IPS spend it too, though only the enumeration stops at it."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     use_prm = variant in ("prm", "ted")
@@ -172,7 +166,7 @@ def ted(
         min_support_frac=0.0,
         visitor=visitor,
         extend_filter=prm_filter if use_prm else None,
-        time_limit_s=time_limit_s,
+        time_limit_s=None if time_limit_s is None else time_limit_s - (time.perf_counter() - t0),
         matched=matched,
     )
     elapsed = time.perf_counter() - t0

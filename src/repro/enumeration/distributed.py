@@ -1,15 +1,13 @@
 """Spark jobs over a graph database's graphs: one enumeration level
 (:func:`match_level`), or a whole pattern tree (:func:`mine_tree`).
 
-Both jobs run one task per partition of
-:func:`repro.graphdb.spark_io.graph_rdd`: the database's graphs, rebuilt
-on the driver from one collect of the edge table and dealt into
+Both jobs run one task per partition of a discovery call's
+:class:`repro.graphdb.spark_io.GraphDB`: the database's graphs, rebuilt on
+the driver from one collect of the edge table and dealt into
 ``defaultParallelism`` partitions balanced by edge count, so every graph
 lies whole in one partition. The graphs travel pickled in the tasks, so no
-job shuffles the edge table or rebuilds a graph from rows. The level jobs
-of a discovery call read the call's
-:class:`repro.graphdb.spark_io.GraphDB`. A partition with no graphs emits
-nothing.
+job shuffles the edge table or rebuilds a graph from rows. A partition with
+no graphs emits nothing.
 
 **The level job.** The frontier (a list of DFS codes) travels as the bare
 codes in the task closure, and each task matches it against its graphs with
@@ -51,10 +49,9 @@ reaches the driver until the loop is done, so it serves the enumerations
 that keep every pattern with support >= 1: ALL_g, ALL_t and OPT. Each task
 returns the ``(code, cover)`` of every pattern that occurs in its graphs,
 the cover as global edge keys over those graphs, and its counters (see
-:data:`TASK_COUNTERS`), among them its graphs' edge count, which the
-driver sums into the database's edge total. Covers are disjoint across
-partitions, so the driver merges them by union. The partitions are
-balanced by edge count, not by matching work, so task times still differ.
+:data:`TASK_COUNTERS`). Covers are disjoint across partitions, so the
+driver merges them by union. The partitions are balanced by edge count,
+not by matching work, so task times still differ.
 
 The partition count is ``defaultParallelism`` (one task per core), not more,
 because each Python task has a fixed cost. The session
@@ -88,7 +85,7 @@ from pyspark.sql.types import (
 )
 
 from repro.graphdb.model import Graph, edge_key
-from repro.graphdb.spark_io import GraphDB, graph_rdd
+from repro.graphdb.spark_io import GraphDB
 from repro.isomorphism.dfscode import DFSCode, Edge5
 from repro.isomorphism.matcher import Kept, match_frontier
 
@@ -105,7 +102,6 @@ LEVEL_SCHEMA = StructType(
 #: Keys of a tree-job task's counters, in report order.
 TASK_COUNTERS = (
     "graphs",              # graphs in the partition
-    "edges",               # edges of those graphs
     "patterns",            # patterns returned
     "pairs",               # (pattern, graph) pairs the loop tried
     "levels",              # levels the loop ran
@@ -281,12 +277,12 @@ def match_level(
 
 
 def mine_tree(
-    edges: DataFrame,
+    db: GraphDB,
     *,
     e_max: int,
     time_limit_s: float | None = None,
 ) -> list[tuple[list[tuple[DFSCode, frozenset[int]]], dict]]:
-    """Run the tree job over the edge table: each task runs
+    """Run the tree job over the database ``db``: each task runs
     :func:`repro.enumeration.gspan.mine_graphs` over its graphs and returns
     ``(code, cover)`` per pattern found and its :data:`TASK_COUNTERS`.
     Returns one such pair per non-empty task. Each task stops between its
@@ -301,10 +297,9 @@ def mine_tree(
         t0 = time.perf_counter()
         match = ProjectedMatcher(graphs)
         found, st = mine_graphs(graphs, e_max=e_max, time_limit_s=time_limit_s, matcher=match)
-        counters = (len(graphs), sum(g.n_edges for g in graphs), len(found), match.pairs,
-                    st.levels, st.n_is_min, st.n_children_nonmin, st.peak_frontier,
-                    int(st.truncated), int(st.timed_out), round(time.perf_counter() - t0, 4))
+        counters = (len(graphs), len(found), match.pairs, st.levels, st.n_is_min,
+                    st.n_children_nonmin, st.peak_frontier, int(st.truncated),
+                    int(st.timed_out), round(time.perf_counter() - t0, 4))
         yield [(ps.code, ps.cover) for ps in found], dict(zip(TASK_COUNTERS, counters))
 
-    _, graphs = graph_rdd(edges)
-    return graphs.mapPartitions(run_partition).collect()
+    return db.graphs.mapPartitions(run_partition).collect()

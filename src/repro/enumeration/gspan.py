@@ -93,7 +93,8 @@ def level_loop(
     DFS-code order within each level. ``extend_filter`` decides whether a
     surviving pattern's subtree is explored (TED's PRM hook). Once
     ``time.perf_counter()`` passes ``deadline`` the loop stops before the
-    next level, with ``timed_out`` set.
+    next level, with ``timed_out`` set; a run with no next level is
+    complete, not timed out.
 
     ``matched`` maps DFS codes to stats computed earlier over the same
     database, with extensions for every code shorter than ``e_max``. A
@@ -139,7 +140,7 @@ def level_loop(
                 else:
                     stats.n_children_nonmin += 1
         frontier = sorted(children, key=code_key)
-        if deadline is not None and time.perf_counter() > deadline:
+        if frontier and deadline is not None and time.perf_counter() > deadline:
             stats.timed_out = True
             break
     return stats

@@ -8,7 +8,6 @@ from repro.graphdb.spark_io import (
     to_edges_df,
     to_edges_pandas,
     graphs_from_rows,
-    graph_rdd,
     GraphDB,
     db_stats,
     per_graph_edge_counts,
@@ -25,7 +24,6 @@ __all__ = [
     "to_edges_df",
     "to_edges_pandas",
     "graphs_from_rows",
-    "graph_rdd",
     "GraphDB",
     "db_stats",
     "per_graph_edge_counts",

@@ -4,18 +4,18 @@ runs on.
 A database is one edge DataFrame with schema :data:`EDGE_SCHEMA` —
 ``(graph_id, eid, u, v, ul, vl, el)`` with ``u < v`` and ``ul``/``vl`` the
 endpoint vertex labels (denormalized so matching never needs a vertex-table
-join). :func:`graph_rdd` is the one place where edge rows become
-:class:`Graph` objects: it collects the table to the driver in one job,
-rebuilds the graphs there with :func:`graphs_from_rows`, and deals them
-into one partition per core, balanced by edge count, so each graph lies
-whole in one partition and no partition holds many more edges than
-another. The RDD ships the graphs from the driver, so a job over it runs
-no shuffle and no Python build stage, and there is nothing to cache. A
-discovery call builds a :class:`GraphDB` once: that RDD plus the per-graph
-edge counts and edge-label triples, read from the driver-side graphs.
-Every later job of the call only reads the handle. :func:`db_stats` stays
-a DataFrame aggregation; it, the handle's counts and its triples are
-oracle-checked against DuckDB in the tests.
+join). Every discovery call, TED and every baseline, builds one
+:class:`GraphDB` from it, and :meth:`GraphDB.build` is the one place where
+edge rows become :class:`Graph` objects: it collects the table to the
+driver in one job, rebuilds the graphs there with :func:`graphs_from_rows`,
+and deals them into one partition per core, balanced by edge count, so each
+graph lies whole in one partition and no partition holds many more edges
+than another. The RDD ships the graphs from the driver, so a job over it
+runs no shuffle and no Python build stage, and there is nothing to cache.
+The handle also holds the per-graph edge counts and edge-label triples,
+read from the driver-side graphs. Every job of the call only reads the
+handle. :func:`db_stats` stays a DataFrame aggregation; it, the handle's
+counts and its triples are oracle-checked against DuckDB in the tests.
 """
 from __future__ import annotations
 
@@ -100,36 +100,30 @@ def balanced_bins(graphs: list[Graph], n: int) -> list[list[Graph]]:
     return [sorted(b, key=lambda g: g.gid) for b in bins]
 
 
-def graph_rdd(edges: DataFrame) -> tuple[list[Graph], RDD]:
-    """The edge table's graphs, rebuilt on the driver from one collect, and
-    the same graphs as an RDD of ``defaultParallelism`` partitions (one task
-    per core) dealt by :func:`balanced_bins`, each graph whole in one
-    partition. Each partition's graphs travel pickled in its tasks, so a
-    job over the RDD reads no table and runs no shuffle."""
-    graphs = graphs_from_rows(edges.toPandas().itertuples(index=False))
-    sc = edges.sparkSession.sparkContext
-    n = sc.defaultParallelism
-    return graphs, sc.parallelize(balanced_bins(graphs, n), n).flatMap(lambda b: b)
-
-
 @dataclass
 class GraphDB:
     """A graph database ready for the Spark jobs of one discovery call.
     It holds no Spark cache, so it needs no release."""
 
-    graphs: RDD                                 # Graphs, see graph_rdd
+    graphs: RDD                                 # Graphs, see build()
     edge_counts: dict[int, int]                 # {graph_id: |E(G)|}
     triples: frozenset[tuple[str, str, str]]    # (min label, edge label, max label)
     build_s: float                              # wall time of build()
 
     @classmethod
     def build(cls, edges: DataFrame) -> "GraphDB":
-        """:func:`graph_rdd` of ``edges``, with the edge counts and triples
-        of the driver-side graphs it rebuilt."""
+        """The handle of ``edges``: its graphs, rebuilt on the driver from
+        one collect, as an RDD of ``defaultParallelism`` partitions (one task
+        per core) dealt by :func:`balanced_bins`, each graph whole in one
+        partition, plus the edge counts and triples of those graphs. Each
+        partition's graphs travel pickled in its tasks, so a job over the
+        RDD reads no table and runs no shuffle."""
         t0 = time.perf_counter()
-        graphs, rdd = graph_rdd(edges)
+        graphs = graphs_from_rows(edges.toPandas().itertuples(index=False))
+        sc = edges.sparkSession.sparkContext
+        n = sc.defaultParallelism
         return cls(
-            graphs=rdd,
+            graphs=sc.parallelize(balanced_bins(graphs, n), n).flatMap(lambda b: b),
             edge_counts={g.gid: g.n_edges for g in graphs},
             triples=frozenset().union(*(g.edge_triple_set for g in graphs)),
             build_s=time.perf_counter() - t0,

@@ -9,9 +9,8 @@ join produces a hard test failure rather than a silently different cover set.
 
 This is the pure-DataFrame counterpart of :mod:`repro.isomorphism.matcher`
 and is cross-checked against it in the tests. The enumeration's Spark jobs
-use the Python matcher instead, in tasks over the partitions of the graph
-RDD (:class:`repro.graphdb.spark_io.GraphDB`, :func:`repro.graphdb.spark_io.graph_rdd`):
-patterns change every level, and generating and optimizing a fresh m-way
+use the Python matcher instead, in tasks over the partitions of the call's
+graph RDD (:class:`repro.graphdb.spark_io.GraphDB`): patterns change every level, and generating and optimizing a fresh m-way
 join per candidate pattern per level would dominate runtime, as DESIGN.md
 documents.
 """

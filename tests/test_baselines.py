@@ -1,4 +1,7 @@
 """Baseline (ALL_g / ALL_t / FSG_g / FSG_t / OPT) behaviour tests."""
+import functools
+import time
+
 import pytest
 
 from repro.core.baselines import (
@@ -10,8 +13,10 @@ from repro.core.baselines import (
     opt_exact,
 )
 from repro.core.maintain import PatternMaintainer
+from repro.core.ted import ted
 from repro.enumeration.gspan import enumerate_gspan
 from repro.graphdb.model import edge_key
+from repro.graphdb.spark_io import GraphDB
 from repro.isomorphism.bruteforce import distinct_patterns_bruteforce
 from repro.maxcover.exact import exact_max_cover
 from repro.maxcover.greedy import greedy_max_cover
@@ -20,8 +25,8 @@ K, E_MAX = 3, 3
 
 
 class TestEnumerateCoverSets:
-    def test_matches_bruteforce_sets(self, spark, tiny_mol_db, tiny_edges):
-        sets, stats, _ = enumerate_cover_sets(spark, tiny_edges, e_max=2)
+    def test_matches_bruteforce_sets(self, spark, tiny_mol_db, tiny_db):
+        sets, stats, _ = enumerate_cover_sets(spark, tiny_db, e_max=2)
         assert not stats.timed_out
         bf = distinct_patterns_bruteforce(tiny_mol_db, 2)
         assert len(sets) == len(bf)
@@ -34,15 +39,15 @@ class TestEnumerateCoverSets:
             bf_covers.add(frozenset(cov))
         assert set(sets.values()) == bf_covers
 
-    def test_frequent_sets_subset(self, spark, tiny_edges):
-        all_sets, _, _ = enumerate_cover_sets(spark, tiny_edges, e_max=2)
-        freq_sets, _, _ = enumerate_cover_sets(spark, tiny_edges, e_max=2, min_support_frac=0.5)
+    def test_frequent_sets_subset(self, spark, tiny_db):
+        all_sets, _, _ = enumerate_cover_sets(spark, tiny_db, e_max=2)
+        freq_sets, _, _ = enumerate_cover_sets(spark, tiny_db, e_max=2, min_support_frac=0.5)
         assert set(freq_sets) < set(all_sets)
 
 
 class TestAlgorithms:
-    def test_all_g_equals_greedy_over_sets(self, spark, tiny_edges):
-        sets, _, _ = enumerate_cover_sets(spark, tiny_edges, e_max=E_MAX)
+    def test_all_g_equals_greedy_over_sets(self, spark, tiny_edges, tiny_db):
+        sets, _, _ = enumerate_cover_sets(spark, tiny_db, e_max=E_MAX)
         _, cov = greedy_max_cover(sets, K)
         r = all_g(spark, tiny_edges, k=K, e_max=E_MAX)
         assert r.coverage == len(cov)
@@ -138,3 +143,43 @@ class TestTruncation:
         r = all_g(spark, clique_edges, k=K, e_max=e_max)
         assert r.truncated is expected
         assert r.row()["truncated"] is expected
+
+
+#: Every discovery method, TED's variants included, by test id.
+METHODS = {
+    "base": functools.partial(ted, variant="base"),
+    "ted": functools.partial(ted, variant="ted"),
+    "fsg_g": functools.partial(fsg_g, sup_min=0.3),
+    "all_g": all_g,
+    "all_t": all_t,
+    "opt_exact": opt_exact,
+}
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+class TestOneHandlePerCall:
+    """Each discovery call gets its database from one :class:`GraphDB`."""
+
+    def test_builds_one_handle(self, spark, tiny_edges, monkeypatch, method):
+        built = []
+
+        def build(edges, _real=GraphDB.build):
+            built.append(_real(edges))
+            return built[-1]
+
+        monkeypatch.setattr(GraphDB, "build", build)
+        r = METHODS[method](spark, tiny_edges, k=K, e_max=2)
+        assert len(built) == 1
+        assert r.total_edges == sum(built[0].edge_counts.values()) == tiny_edges.count()
+        assert r.extra["handle_s"] == built[0].build_s
+
+    def test_time_limit_counts_the_handle(self, spark, tiny_edges, monkeypatch, method):
+        """The limit runs from the call's start: a build that outlasts it
+        leaves the enumeration no time past its first level."""
+
+        def slow_build(edges, _real=GraphDB.build):
+            time.sleep(0.5)
+            return _real(edges)
+
+        monkeypatch.setattr(GraphDB, "build", slow_build)
+        assert METHODS[method](spark, tiny_edges, k=K, e_max=3, time_limit_s=0.4).timed_out

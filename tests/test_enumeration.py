@@ -23,7 +23,7 @@ from repro.enumeration.distributed import (
 from repro.enumeration.gspan import EnumStats, enumerate_gspan, level1_codes, mine_graphs
 from repro.graphdb.generator import molecule_db
 from repro.graphdb.model import edge_key, make_graph
-from repro.graphdb.spark_io import GraphDB, per_graph_edge_counts, to_edges_df, to_edges_pandas
+from repro.graphdb.spark_io import GraphDB, to_edges_df, to_edges_pandas
 from repro.isomorphism.bruteforce import (
     canonical_form_bruteforce,
     distinct_patterns_bruteforce,
@@ -211,7 +211,7 @@ class TestTreeJob:
         run matches the driver loop's."""
         edges = request.getfixturevalue(db)
         expected, stats = driver_stream(spark, edges, e_max)
-        sets, tree_stats, _ = enumerate_cover_sets(spark, edges, e_max=e_max)
+        sets, tree_stats, _ = enumerate_cover_sets(spark, GraphDB.build(edges), e_max=e_max)
         assert list(sets.items()) == expected
         assert stats.truncated is tree_stats.truncated is truncated
         assert tree_stats.n_visited == stats.n_visited and not tree_stats.timed_out
@@ -219,7 +219,7 @@ class TestTreeJob:
     @pytest.mark.parametrize("resplit", list(RESPLITS.values()), ids=list(RESPLITS))
     def test_input_split_changes_nothing(self, spark, tiny_edges, resplit):
         expected, _ = driver_stream(spark, tiny_edges, 3)
-        sets, _, _ = enumerate_cover_sets(spark, resplit(tiny_edges), e_max=3)
+        sets, _, _ = enumerate_cover_sets(spark, GraphDB.build(resplit(tiny_edges)), e_max=3)
         assert list(sets.items()) == expected
 
     def test_one_partition_equals_one_per_core(self, spark, tiny_mol_db, tiny_edges):
@@ -243,7 +243,7 @@ class TestTreeJob:
         for p in r.extra["partitions"]:
             assert list(p) == list(TASK_COUNTERS)
             assert p["levels"] == 3 and p["patterns"] > 0 and p["task_s"] > 0
-            assert p["edges"] >= p["graphs"] > 0 and p["pairs"] >= p["patterns"]
+            assert p["graphs"] > 0 and p["pairs"] >= p["patterns"]
             assert p["is_min_calls"] >= p["n_children_nonmin"] > 0
             assert not p["timed_out"] and not p["truncated"]
 
@@ -312,15 +312,14 @@ class TestTreeJob:
             assert match.pairs < len(found) * len(graphs)
 
     @pytest.mark.parametrize("resplit", [None, *RESPLITS.values()], ids=["cached", *RESPLITS])
-    def test_tasks_count_the_edges(self, spark, tiny_edges, tiny_db, resplit):
-        """The tasks' summed ``edges`` is the edge table's count, which ALL_g,
-        ALL_t and OPT report as ``total_edges``, also when every task stops
-        after its first level."""
+    def test_tasks_count_the_edges(self, spark, tiny_edges, resplit):
+        """ALL_g, ALL_t and OPT report the edge table's count as
+        ``total_edges``, however the table is split, also when every task
+        stops after its first level."""
         edges = tiny_edges if resplit is None else resplit(tiny_edges)
-        total = sum(per_graph_edge_counts(tiny_db).values())
+        total = tiny_edges.count()
         for run in (all_g, all_t, opt_exact):
-            r = run(spark, edges, k=3, e_max=2)
-            assert r.total_edges == sum(p["edges"] for p in r.extra["partitions"]) == total
+            assert run(spark, edges, k=3, e_max=2).total_edges == total
         r = all_g(spark, edges, k=3, e_max=4, time_limit_s=0.0)
         assert r.timed_out and r.total_edges == total
 
@@ -407,6 +406,17 @@ class TestControls:
     def test_time_limit_flags(self, spark, tiny_db):
         stats = enumerate_gspan(spark, tiny_db, e_max=4, time_limit_s=0.0)
         assert stats.timed_out
+
+    def test_run_with_no_next_level_is_complete(self, spark, tiny_db):
+        """At ``e_max = 1`` the loop ends after level 1, so a spent time
+        limit cuts nothing: both loops stream every root, not timed out."""
+        graphs = molecule_db("aids_lite", 10, seed=0)
+        found, stats = mine_graphs(graphs, e_max=1, time_limit_s=0.0)
+        ref, ref_stats = mine_graphs(graphs, e_max=1)
+        assert [ps.code for ps in found] == [ps.code for ps in ref]
+        assert stats == ref_stats and not stats.timed_out
+        stats = enumerate_gspan(spark, tiny_db, e_max=1, time_limit_s=0.0)
+        assert stats.n_visited == len(level1_codes(tiny_db)) and not stats.timed_out
 
     def test_extend_filter_prunes(self, spark, tiny_db):
         unpruned = EnumStats()
