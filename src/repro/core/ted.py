@@ -24,7 +24,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.maintain import PatternMaintainer
 from repro.core.result import AlgoResult
-from repro.enumeration.distributed import PatternLevelStats, match_level
+from repro.enumeration.distributed import PatternLevelStats, ProjectedMatcher, match_level
 from repro.enumeration.gspan import enumerate_gspan, level1_codes
 from repro.graphdb.spark_io import GraphDB, per_graph_edge_counts
 from repro.isomorphism.dfscode import DFSCode, code_key, is_min
@@ -40,25 +40,38 @@ def ips_initial_patterns(
     e_max: int,
     e_min: int = 1,
     matched: dict[DFSCode, PatternLevelStats] | None = None,
+    deadline: float | None = None,
 ) -> list[tuple[DFSCode, frozenset[int]]]:
     """Initial Pattern Selection (Section 5.2).
 
     One greedy chain per level-1 root: repeatedly extend to the child with
     the highest coverage while coverage strictly improves (and |E| < E_max).
-    All chains advance together, so each BFS depth is a single Spark job.
-    Returns the top-k chain results by coverage as (code, cover) pairs.
-    Every stats entry the jobs return is also stored in ``matched`` by code,
-    so the enumeration that follows need not match those patterns again.
+    All chains advance together, one BFS depth at a time. Only depth 1, the
+    children of every root, is wide enough to pay for a Spark job
+    (:func:`match_level`). The roots are matched on the driver over
+    ``db.driver_graphs``; from depth 2 on, one :class:`ProjectedMatcher`
+    over the active heads' support graphs matches the chains' children on
+    the driver, keeping each depth's embeddings for the next. A head's
+    children occur only where the head does, so every stat equals the
+    job's. Returns the top-k chain results by coverage as (code, cover)
+    pairs. Every stats entry is also stored in ``matched`` by code, so the
+    enumeration that follows need not match those patterns again.
+
+    No depth starts once ``time.perf_counter()`` has passed ``deadline``;
+    the active chains then settle at their heads.
     """
     matched = {} if matched is None else matched
-    root_stats = match_level(spark, db, level1_codes(db), want_extensions=e_max > 1)
+    root_stats = ProjectedMatcher(db.driver_graphs)(level1_codes(db), e_max > 1)
     matched.update((ps.code, ps) for ps in root_stats)
     # one chain per root; every root is one of the database's own edge
     # triples, so none has support 0
     active = [ps for ps in root_stats if len(ps.code) < e_max and ps.extensions]
     settled = [ps for ps in root_stats if ps not in active]
+    driver: ProjectedMatcher | None = None  # matches depth 2 on
     while active:
-        # one job for every chain's candidate children
+        if deadline is not None and time.perf_counter() > deadline:
+            settled.extend(active)
+            break
         cand_codes: list[DFSCode] = []
         owners: list[int] = []
         for ci, ps in enumerate(active):
@@ -70,10 +83,14 @@ def ips_initial_patterns(
         if not cand_codes:
             settled.extend(active)
             break
-        child_stats = match_level(
-            spark, db, cand_codes,
-            want_extensions=any(len(c) < e_max for c in cand_codes),
-        )
+        want = any(len(c) < e_max for c in cand_codes)
+        if len(cand_codes[0]) == 2:  # depth 1, also the enumeration's whole level 2
+            child_stats = match_level(spark, db, cand_codes, want_extensions=want)
+        else:
+            if driver is None:
+                gids = frozenset().union(*(ps.support_gids for ps in active))
+                driver = ProjectedMatcher([g for g in db.driver_graphs if g.gid in gids])
+            child_stats = driver(cand_codes, want)
         matched.update((cs.code, cs) for cs in child_stats)
         best: dict[int, PatternLevelStats] = {}
         for ci, cs in zip(owners, child_stats):
@@ -121,13 +138,15 @@ def ted(
     enumeration, hit the matcher's embedding cap, so its cover set (and
     possibly its extensions) may be incomplete.
 
-    ``time_limit_s`` counts from the call's start: the handle's build and
-    IPS spend it too, though only the enumeration stops at it."""
+    ``time_limit_s`` counts from the call's start: the handle's build
+    spends it too, IPS starts no depth past it, and the enumeration starts
+    no level past it."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     use_prm = variant in ("prm", "ted")
     use_ips = variant in ("ips", "ted")
     t0 = time.perf_counter()
+    deadline = None if time_limit_s is None else t0 + time_limit_s
 
     db = GraphDB.build(edges)
     edge_counts = per_graph_edge_counts(db)
@@ -136,7 +155,7 @@ def ted(
 
     if use_ips:
         for code, cover in ips_initial_patterns(
-            spark, db, k=k, e_max=e_max, e_min=e_min, matched=matched,
+            spark, db, k=k, e_max=e_max, e_min=e_min, matched=matched, deadline=deadline,
         ):
             maintainer.offer(code, cover)
     # read before the enumeration pops entries, so IPS-only patterns count too
@@ -166,7 +185,7 @@ def ted(
         min_support_frac=0.0,
         visitor=visitor,
         extend_filter=prm_filter if use_prm else None,
-        time_limit_s=None if time_limit_s is None else time_limit_s - (time.perf_counter() - t0),
+        time_limit_s=None if deadline is None else deadline - time.perf_counter(),
         matched=matched,
     )
     elapsed = time.perf_counter() - t0

@@ -38,6 +38,12 @@ driver folds the rows into :class:`PatternLevelStats` for PES-Index
 maintenance — the only state that must be sequential (it is the paper's
 swapping stream).
 
+**Narrow frontiers stay on the driver.** A level job pays a fixed cost of
+about 50 ms plus about 25 ms for its DataFrame, so the frontiers that are
+narrow by their role (each enumeration's roots, and IPS's chains after
+their first step) are matched on the driver by a :class:`ProjectedMatcher`
+over the graphs the handle keeps there, with no job.
+
 **The tree job.** :func:`mine_tree` runs the whole level loop in each task:
 :func:`repro.enumeration.gspan.mine_graphs`, which matches each level over
 the task's graphs with a :class:`ProjectedMatcher` and grows children from
@@ -103,7 +109,7 @@ LEVEL_SCHEMA = StructType(
 TASK_COUNTERS = (
     "graphs",              # graphs in the partition
     "patterns",            # patterns returned
-    "pairs",               # (pattern, graph) pairs the loop tried
+    "pairs",               # (pattern, graph) pairs the loop routed (ProjectedMatcher.pairs)
     "levels",              # levels the loop ran
     "is_min_calls",        # extensions checked by ``is_min``
     "n_children_nonmin",   # of which rejected as non-minimal
@@ -171,10 +177,15 @@ def _fold(
 
 
 class ProjectedMatcher:
-    """The level matcher of :func:`repro.enumeration.gspan.mine_graphs`:
-    each call matches one level over graphs held in this process and
-    returns what :func:`match_level` would for a database of these graphs,
-    with no Spark job. Between calls it keeps gSpan's projected database.
+    """A level matcher over graphs held in this process: each call matches
+    one level and returns what :func:`match_level` would for a database of
+    these graphs, with no Spark job. Between calls it keeps gSpan's
+    projected database. It is the level matcher of
+    :func:`repro.enumeration.gspan.mine_graphs` in the tree job's tasks,
+    and on the driver it matches the frontiers too narrow to pay for a
+    level job over a :class:`GraphDB`'s ``driver_graphs``: the roots of
+    :func:`repro.enumeration.gspan.enumerate_gspan`, and IPS's roots and
+    its depths after the first (:func:`repro.core.ted.ips_initial_patterns`).
 
     A level asked for extensions keeps each pattern's embeddings in every
     graph where it occurs, or None in a graph where they reach the
@@ -186,7 +197,8 @@ class ProjectedMatcher:
     replaces the previous one once the level is matched; a level asked for
     no extensions (one at ``E_max``) keeps none. ``pairs`` counts the
     (pattern, graph) pairs a level routes: per code, the graphs holding its
-    kept parent, or every graph.
+    kept parent, or every graph (of which ``match_frontier`` tries a root
+    only in those holding its edge-label triple).
     """
 
     def __init__(self, graphs: list[Graph]) -> None:

@@ -8,10 +8,11 @@ exactly once) and applying support pruning (frequent-subgraph mining) and an
 optional ``extend_filter`` (TED's PRM rules). How a level is matched is its
 parameter:
 
-- :func:`enumerate_gspan` runs the loop on the driver, and each level is one
-  Spark job over the whole database's graph-resident handle
-  (:func:`repro.enumeration.distributed.match_level` on a
-  :class:`repro.graphdb.spark_io.GraphDB`). TED and FSG use it:
+- :func:`enumerate_gspan` runs the loop on the driver. Level 1, the
+  database's roots, is matched on the driver too, over the graphs the
+  call's :class:`repro.graphdb.spark_io.GraphDB` holds there; each later
+  level is one Spark job over the handle
+  (:func:`repro.enumeration.distributed.match_level`). TED and FSG use it:
   PRM needs the global pattern set P, and FSG's threshold needs
   database-wide support, between every two levels.
 - :func:`mine_graphs` runs the loop over the graphs one process holds. Its
@@ -159,16 +160,26 @@ def enumerate_gspan(
 ) -> EnumStats:
     """Enumerate all (or all frequent) patterns with ``|E| <= e_max`` in the
     database ``db``: :func:`level_loop` on the driver, one
-    :func:`match_level` job per level.
+    :func:`match_level` job per level after the first. The roots that are
+    not in ``matched`` are matched on the driver by a
+    :class:`ProjectedMatcher` over ``db.driver_graphs``: a root is tried
+    only in the graphs holding its edge-label triple, which costs less than
+    a job's fixed overhead.
 
     ``time_limit_s`` is counted from this call and checked between levels.
-    ``matched`` (see :func:`level_loop`) holds stats computed earlier by
-    :func:`match_level` over the same database.
+    ``matched`` (see :func:`level_loop`) holds stats computed earlier over
+    the same database.
     """
     deadline = None if time_limit_s is None else time.perf_counter() + time_limit_s
+
+    def match(codes: list[DFSCode], want: bool) -> list[PatternLevelStats]:
+        if len(codes[0]) == 1:
+            return ProjectedMatcher(db.driver_graphs)(codes, want)
+        return match_level(spark, db, codes, want_extensions=want)
+
     return level_loop(
         level1_codes(db),
-        lambda codes, want: match_level(spark, db, codes, want_extensions=want),
+        match,
         e_max=e_max,
         min_support_frac=min_support_frac,
         visitor=visitor,

@@ -12,10 +12,12 @@ and deals them into one partition per core, balanced by edge count, so each
 graph lies whole in one partition and no partition holds many more edges
 than another. The RDD ships the graphs from the driver, so a job over it
 runs no shuffle and no Python build stage, and there is nothing to cache.
-The handle also holds the per-graph edge counts and edge-label triples,
-read from the driver-side graphs. Every job of the call only reads the
-handle. :func:`db_stats` stays a DataFrame aggregation; it, the handle's
-counts and its triples are oracle-checked against DuckDB in the tests.
+The handle also keeps the driver-side graphs themselves, in graph-id order,
+so a frontier too narrow to pay for a job is matched on the driver over
+them, and holds the per-graph edge counts and edge-label triples read from
+them. Every job of the call only reads the handle. :func:`db_stats` stays
+a DataFrame aggregation; it, the handle's counts and its triples are
+oracle-checked against DuckDB in the tests.
 """
 from __future__ import annotations
 
@@ -106,6 +108,7 @@ class GraphDB:
     It holds no Spark cache, so it needs no release."""
 
     graphs: RDD                                 # Graphs, see build()
+    driver_graphs: list[Graph]                  # the same graphs, in graph-id order
     edge_counts: dict[int, int]                 # {graph_id: |E(G)|}
     triples: frozenset[tuple[str, str, str]]    # (min label, edge label, max label)
     build_s: float                              # wall time of build()
@@ -115,15 +118,16 @@ class GraphDB:
         """The handle of ``edges``: its graphs, rebuilt on the driver from
         one collect, as an RDD of ``defaultParallelism`` partitions (one task
         per core) dealt by :func:`balanced_bins`, each graph whole in one
-        partition, plus the edge counts and triples of those graphs. Each
-        partition's graphs travel pickled in its tasks, so a job over the
-        RDD reads no table and runs no shuffle."""
+        partition, plus the graphs themselves as a list and their edge
+        counts and triples. Each partition's graphs travel pickled in its
+        tasks, so a job over the RDD reads no table and runs no shuffle."""
         t0 = time.perf_counter()
         graphs = graphs_from_rows(edges.toPandas().itertuples(index=False))
         sc = edges.sparkSession.sparkContext
         n = sc.defaultParallelism
         return cls(
             graphs=sc.parallelize(balanced_bins(graphs, n), n).flatMap(lambda b: b),
+            driver_graphs=graphs,
             edge_counts={g.gid: g.n_edges for g in graphs},
             triples=frozenset().union(*(g.edge_triple_set for g in graphs)),
             build_s=time.perf_counter() - t0,

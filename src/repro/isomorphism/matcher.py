@@ -224,21 +224,29 @@ def match_frontier(
     The codes are grouped by parent (``code[:-1]``). A parent in ``kept`` is
     taken as kept: only its graphs are tried, from its embeddings there.
     Any other parent is enumerated once per graph, and the graphs where it
-    has no embedding are skipped. Each child is then matched by
-    :func:`match_child`, so each result equals ``match_stats(code, g)``:
-    where the parent or the child reaches the embedding cap, that child is
-    matched from the root.
+    has no embedding are skipped. A 1-edge child (empty parent) is tried
+    only in the graphs whose ``edge_triple_set`` holds its edge-label triple.
+    Each child is then matched by :func:`match_child`, so each result equals
+    ``match_stats(code, g)``: where the parent or the child reaches the
+    embedding cap, that child is matched from the root.
     """
     groups: dict[DFSCode, list[int]] = {}
     for idx, code in enumerate(codes):
         groups.setdefault(code[:-1], []).append(idx)
     for parent, indices in groups.items():
         children = [FrontierChild(i, codes[i], rightmost_path(codes[i])) for i in indices]
+        # a root's triple in the normalized (min label, edge label, max label) order
+        triples = [] if parent else [
+            (min(li, lj), el, max(li, lj)) for _, _, li, el, lj in (c.code[0] for c in children)
+        ]
         where = kept.get(parent) if kept else None
         if where is None:
             where = _parent_embeddings(parent, graphs)
         for g, parent_embs in where:
-            for child in children:
+            todo = children if parent else [
+                c for c, t in zip(children, triples) if t in g.edge_triple_set
+            ]
+            for child in todo:
                 ms, embs = match_child(child, parent_embs, g, want_extensions=want_extensions)
                 if ms.n_embeddings:
                     yield child.index, g, ms, embs

@@ -433,20 +433,23 @@ ALGOS = {
 }
 
 
-@pytest.mark.parametrize("e_max", [2, 3, 4, 5])
+@pytest.mark.parametrize("e_max", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("algo", list(ALGOS))
 def test_no_extensions_at_e_max_changes_nothing(
     spark, tiny_edges, tiny_db, monkeypatch, algo, e_max
 ):
     """Levels whose codes have ``e_max`` edges are matched without
     extensions; answers and counters equal a run that asks for them
-    everywhere. ALL_g's level loop runs inside the tasks of one job, out of
-    the patch's reach: its answer must equal greedy MaxCover over the S the
-    driver loop streams when it asks for extensions everywhere
-    (``TestTreeJob`` checks the in-task loop with the same patch)."""
+    everywhere. The level jobs, with IPS's depths after the first on the
+    driver, serve sizes 2..e_max; the roots are matched on the driver, which
+    asks for their extensions only when ``e_max > 1``.
+    ALL_g's level loop runs inside the tasks of one job, out of the patch's
+    reach: its answer must equal greedy MaxCover over the S the driver loop
+    streams when it asks for extensions everywhere (``TestTreeJob`` checks
+    the in-task loop with the same patch)."""
     run = ALGOS[algo]
     r = run(spark, tiny_edges, k=3, e_max=e_max)
-    asked = []
+    asked, on_driver = [], []
     for name in ("repro.core.ted", "repro.enumeration.gspan"):
         mod = importlib.import_module(name)
 
@@ -455,6 +458,12 @@ def test_no_extensions_at_e_max_changes_nothing(
             return _real(spark, edges, codes, want_extensions=True)
 
         monkeypatch.setattr(mod, "match_level", forced)
+
+    def forced_driver(self, codes, want_extensions, _real=ProjectedMatcher.__call__):
+        on_driver.append((len(codes[0]), want_extensions))
+        return _real(self, codes, True)
+
+    monkeypatch.setattr(ProjectedMatcher, "__call__", forced_driver)
     if algo == "all_g":
         sets = {}
         stats = enumerate_gspan(spark, tiny_db, e_max=e_max,
@@ -470,4 +479,6 @@ def test_no_extensions_at_e_max_changes_nothing(
                                        extra={**res.extra, "handle_s": 0.0})
 
         assert untimed(r) == untimed(ref)
-    assert set(asked) == {(n, n < e_max) for n in range(1, e_max + 1)}
+    assert {want for n, want in on_driver if n == 1} == {e_max > 1}
+    assert set(asked) | {(n, want) for n, want in on_driver if n > 1} == {
+        (n, n < e_max) for n in range(2, e_max + 1)}

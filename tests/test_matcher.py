@@ -295,3 +295,14 @@ class TestMatchFrontier:
         codes = [((0, 1, "C", "-", "C"),), ((0, 1, "C", "-", "N"),), ((0, 1, "C", "-", "O"),)]
         _assert_frontier_matches(codes, [tri])
         assert [i for i, _ in _results(codes, tri)] == [0, 1]
+
+    def test_roots_tried_only_where_their_triple_occurs(self):
+        """A 1-edge code is tried only in the graphs whose edge triples hold
+        its normalized triple; a non-minimal orientation such as O-C is
+        still found wherever C-O is (aids_lite-100)."""
+        graphs = molecule_db("aids_lite", 100, seed=0)
+        o_c = ((0, 1, "O", "-", "C"),)
+        codes = [o_c, ((0, 1, "C", "-", "O"),), ((0, 1, "B", "-", "B"),), ((0, 1, "C", "-", "Xe"),)]
+        _assert_frontier_matches(codes, graphs)
+        holding = {g.gid for g in graphs if ("C", "-", "O") in g.edge_triple_set}
+        assert holding and {g.gid for _, g, _, _ in match_frontier([o_c], graphs)} == holding

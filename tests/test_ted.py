@@ -1,19 +1,22 @@
 """TED framework tests: variant validity, incremental-vs-recomputed
 coverage, the Theorem-4 approximation bound against exact OPT, the
 optimization strategies' behaviour, that the enumeration does not repeat
-IPS's level jobs, and that embedding-cap truncation is reported."""
+IPS's level jobs, that the narrow frontiers matched on the driver equal the
+level jobs', and that embedding-cap truncation is reported."""
 import importlib
 import random
+import time
 
 import pytest
 
-from repro.core.baselines import all_g, opt_exact
+from repro.core.baselines import all_g, fsg_g, opt_exact
 from repro.core.ted import ips_initial_patterns, match_level, ted
-from repro.enumeration.gspan import enumerate_gspan
+from repro.enumeration.distributed import ProjectedMatcher
+from repro.enumeration.gspan import enumerate_gspan, level1_codes
 from repro.graphdb.generator import molecule_db
 from repro.graphdb.model import make_graph
 from repro.graphdb.spark_io import GraphDB, to_edges_df
-from repro.isomorphism.dfscode import code_to_graph, is_min
+from repro.isomorphism.dfscode import code_key, code_to_graph, is_min
 from tests.helpers import tiny_db
 
 K, E_MAX = 3, 3
@@ -221,11 +224,118 @@ class TestTruncation:
         assert r.truncated is expected and any(seen) is expected
 
     @pytest.mark.parametrize("variant, expected", [("base", False), ("ted", True)])
-    def test_ips_matches_count(self, spark, variant, expected):
+    def test_ips_matches_count(self, spark, monkeypatch, variant, expected):
         """A C with 46 N leaves: N-C-N has 46 * 45 = 2070 embeddings. IPS
-        matches it on its first step; the enumeration, stopped after level 1
-        by the time limit, never does."""
+        matches it on its first step; the enumeration, given no time past
+        level 1, never does. IPS starts no step past the call's deadline,
+        so the limit is put on the enumeration alone."""
+        ted_module = importlib.import_module("repro.core.ted")
+
+        def level1_only(*args, _real=ted_module.enumerate_gspan, **kw):
+            return _real(*args, **{**kw, "time_limit_s": 0.0})
+
+        monkeypatch.setattr(ted_module, "enumerate_gspan", level1_only)
         star = make_graph(0, ["C"] + ["N"] * 46, [(0, v) for v in range(1, 47)])
         edges = to_edges_df(spark, [star])
-        r = ted(spark, edges, k=K, e_max=E_MAX, variant=variant, time_limit_s=0.0)
+        r = ted(spark, edges, k=K, e_max=E_MAX, variant=variant)
         assert r.timed_out and r.truncated is expected
+
+
+def _spy_match_level(monkeypatch, out: list) -> None:
+    """Record the codes of every ``match_level`` call of ``ted()`` and the
+    enumeration in ``out``, one list per call."""
+    for name in ("repro.core.ted", "repro.enumeration.gspan"):
+        mod = importlib.import_module(name)
+
+        def spy(spark, db, codes, *, _real=mod.match_level, **kw):
+            out.append(codes)
+            return _real(spark, db, codes, **kw)
+
+        monkeypatch.setattr(mod, "match_level", spy)
+
+
+class TestNarrowFrontiersOnDriver:
+    """The frontiers narrow by their role (every enumeration's roots, and
+    IPS's depths after the first) are matched on the driver by a
+    :class:`ProjectedMatcher` over the handle's graphs, with stats equal to
+    the level job's; only the wide levels are Spark jobs."""
+
+    def test_ips_driver_stats_equal_the_level_job(self, spark, aids_edges, monkeypatch):
+        """aids_lite-100: the roots and IPS's depth-2 and depth-3 frontiers,
+        as the walk matches them (depth 3 from depth 2's kept embeddings),
+        equal ``match_level`` field by field."""
+        db = GraphDB.build(aids_edges)
+        calls = []
+
+        def spy(self, codes, want_extensions, _real=ProjectedMatcher.__call__):
+            out = _real(self, codes, want_extensions)
+            calls.append((codes, want_extensions, out))
+            return out
+
+        monkeypatch.setattr(ProjectedMatcher, "__call__", spy)
+        ips_initial_patterns(spark, db, k=5, e_max=4)
+        monkeypatch.undo()
+        assert [len(codes[0]) for codes, _, _ in calls] == [1, 3, 4]
+        for codes, want, out in calls:
+            assert out == match_level(spark, db, codes, want_extensions=want)
+            assert any(ps.extensions for ps in out) is want
+
+    def test_capped_frontiers_on_clique(self, spark, clique_edges, clique_db):
+        """Levels 1-4 of the 7-clique through one driver matcher, which
+        keeps each level's embeddings for the next, equal the level jobs';
+        level 4 hits the embedding cap on both paths."""
+        driver = ProjectedMatcher(clique_db.driver_graphs)
+        codes = level1_codes(clique_db)
+        for size in range(1, 5):
+            got = driver(codes, size < 4)
+            assert got == match_level(spark, clique_db, codes, want_extensions=size < 4)
+            codes = sorted({ps.code + (e,) for ps in got for e in ps.extensions
+                            if is_min(ps.code + (e,))}, key=code_key)
+        assert any(ps.truncated for ps in got)
+        assert ted(spark, clique_edges, k=K, e_max=4, variant="ips").truncated
+
+    def test_ted_runs_the_handle_and_three_level_jobs(self, spark, aids_edges, monkeypatch):
+        """aids_lite-100, k=5, E_max=4: the handle's collect, IPS's depth 1
+        (which is also the enumeration's level 2), and levels 3 and 4."""
+        sc = spark.sparkContext
+        keys = ("spark.jobGroup.id", "spark.job.description", "spark.job.interruptOnCancel")
+        caller = {k: sc.getLocalProperty(k) for k in keys}
+        group = "test-ted-level-jobs"
+        sent = []
+        _spy_match_level(monkeypatch, sent)
+        sc.setJobGroup(group, group)
+        try:
+            ted(spark, aids_edges, k=5, e_max=4)
+        finally:
+            for k, v in caller.items():
+                sc.setLocalProperty(k, v)
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) == 4
+        assert sorted(len(codes[0]) for codes in sent) == [2, 3, 4]
+
+    @pytest.mark.parametrize("method", ["base", "prm", "ips", "ted", "fsg_g"])
+    def test_no_level_job_matches_a_root(self, spark, tiny_edges, monkeypatch, method):
+        sent = []
+        _spy_match_level(monkeypatch, sent)
+        if method == "fsg_g":
+            fsg_g(spark, tiny_edges, k=K, e_max=E_MAX)
+        else:
+            ted(spark, tiny_edges, k=K, e_max=E_MAX, variant=method)
+        assert sent and all(len(code) > 1 for codes in sent for code in codes)
+
+    @pytest.mark.parametrize("variant", ["ips", "ted"])
+    def test_ips_starts_no_depth_past_the_deadline(
+        self, spark, tiny_edges, monkeypatch, variant
+    ):
+        """A build that outlasts the limit leaves IPS its roots only, which
+        are matched on the driver: no level job runs, and P is k roots."""
+
+        def slow_build(edges, _real=GraphDB.build):
+            time.sleep(0.5)
+            return _real(edges)
+
+        monkeypatch.setattr(GraphDB, "build", slow_build)
+        sent = []
+        _spy_match_level(monkeypatch, sent)
+        r = ted(spark, tiny_edges, k=K, e_max=E_MAX, variant=variant, time_limit_s=0.4)
+        assert not sent and r.timed_out
+        assert len(r.patterns) == K and all(len(code) == 1 for code in r.patterns)
