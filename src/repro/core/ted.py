@@ -25,9 +25,10 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.maintain import PatternMaintainer
 from repro.core.result import AlgoResult
 from repro.enumeration.distributed import PatternLevelStats, ProjectedMatcher, match_level
-from repro.enumeration.gspan import enumerate_gspan, level1_codes
+from repro.enumeration.gspan import EnumStats, enumerate_gspan, level1_codes, level_loop
 from repro.graphdb.spark_io import GraphDB, per_graph_edge_counts
-from repro.isomorphism.dfscode import DFSCode, code_key, is_min
+from repro.isomorphism.dfscode import DFSCode, Edge5, code_key
+from repro.isomorphism.dfscode import is_min  # noqa: F401  (the benchmark's tracer wraps it here)
 
 VARIANTS = ("base", "prm", "ips", "ted")
 
@@ -41,78 +42,68 @@ def ips_initial_patterns(
     e_min: int = 1,
     matched: dict[DFSCode, PatternLevelStats] | None = None,
     deadline: float | None = None,
-) -> list[tuple[DFSCode, frozenset[int]]]:
+) -> tuple[list[tuple[DFSCode, frozenset[int]]], EnumStats]:
     """Initial Pattern Selection (Section 5.2).
 
-    One greedy chain per level-1 root: repeatedly extend to the child with
-    the highest coverage while coverage strictly improves (and |E| < E_max).
-    All chains advance together, one BFS depth at a time. Only depth 1, the
-    children of every root, is wide enough to pay for a Spark job
-    (:func:`match_level`). The roots are matched on the driver over
-    ``db.driver_graphs``; from depth 2 on, one :class:`ProjectedMatcher`
-    over the active heads' support graphs matches the chains' children on
-    the driver, keeping each depth's embeddings for the next. A head's
-    children occur only where the head does, so every stat equals the
-    job's. Returns the top-k chain results by coverage as (code, cover)
-    pairs. Every stats entry is also stored in ``matched`` by code, so the
-    enumeration that follows need not match those patterns again.
+    One greedy chain per level-1 root: the chain steps to its head's child
+    with the highest coverage (least ``code_key`` on a tie) while coverage
+    strictly improves and the head has fewer than E_max edges. The walk is
+    :func:`level_loop` over the roots: its level matcher moves each chain
+    to its best child once the level is matched, and its ``extend_filter``
+    extends the chains' heads only. A chain is keyed by its first entry,
+    which every code of the chain shares and no two roots do.
 
-    No depth starts once ``time.perf_counter()`` has passed ``deadline``;
-    the active chains then settle at their heads.
+    Only depth 1, the children of every root, is wide enough to pay for a
+    Spark job (:func:`match_level`). The roots are matched on the driver
+    over ``db.driver_graphs``; from depth 2 on, one
+    :class:`ProjectedMatcher` over the heads' support graphs matches the
+    chains' children on the driver, keeping each depth's embeddings for the
+    next. A head's children occur only where the head does, so every stat
+    equals the job's.
+
+    Returns the top-k chain heads by coverage as (code, cover) pairs, and
+    the walk's :class:`EnumStats`. Every stats entry is also stored in
+    ``matched`` by code, so the enumeration that follows need not match
+    those patterns again. No depth starts once ``time.perf_counter()`` has
+    passed ``deadline``; the chains then stay at their heads, and the
+    stats say ``timed_out``.
     """
     matched = {} if matched is None else matched
-    root_stats = ProjectedMatcher(db.driver_graphs)(level1_codes(db), e_max > 1)
-    matched.update((ps.code, ps) for ps in root_stats)
-    # one chain per root; every root is one of the database's own edge
-    # triples, so none has support 0
-    active = [ps for ps in root_stats if len(ps.code) < e_max and ps.extensions]
-    settled = [ps for ps in root_stats if ps not in active]
+    heads: dict[Edge5, PatternLevelStats] = {}
     driver: ProjectedMatcher | None = None  # matches depth 2 on
-    while active:
-        if deadline is not None and time.perf_counter() > deadline:
-            settled.extend(active)
-            break
-        cand_codes: list[DFSCode] = []
-        owners: list[int] = []
-        for ci, ps in enumerate(active):
-            for ext in sorted(ps.extensions):
-                child = ps.code + (ext,)
-                if is_min(child):
-                    cand_codes.append(child)
-                    owners.append(ci)
-        if not cand_codes:
-            settled.extend(active)
-            break
-        want = any(len(c) < e_max for c in cand_codes)
-        if len(cand_codes[0]) == 2:  # depth 1, also the enumeration's whole level 2
-            child_stats = match_level(spark, db, cand_codes, want_extensions=want)
+
+    def rank(ps: PatternLevelStats) -> tuple:
+        return -ps.coverage, code_key(ps.code)
+
+    def match(codes: list[DFSCode], want: bool) -> list[PatternLevelStats]:
+        nonlocal driver
+        if len(codes[0]) == 1:
+            level = ProjectedMatcher(db.driver_graphs)(codes, want)
+        elif len(codes[0]) == 2:  # depth 1, also the enumeration's whole level 2
+            level = match_level(spark, db, codes, want_extensions=want)
         else:
             if driver is None:
-                gids = frozenset().union(*(ps.support_gids for ps in active))
+                gids = frozenset().union(*(heads[c[0]].support_gids for c in codes))
                 driver = ProjectedMatcher([g for g in db.driver_graphs if g.gid in gids])
-            child_stats = driver(cand_codes, want)
-        matched.update((cs.code, cs) for cs in child_stats)
-        best: dict[int, PatternLevelStats] = {}
-        for ci, cs in zip(owners, child_stats):
-            cur = best.get(ci)
-            if cur is None or cs.coverage > cur.coverage or (
-                cs.coverage == cur.coverage and code_key(cs.code) < code_key(cur.code)
-            ):
-                best[ci] = cs
-        next_active = []
-        for ci, ps in enumerate(active):
-            ch = best.get(ci)
-            if ch is not None and ch.coverage > ps.coverage:
-                if len(ch.code) < e_max and ch.extensions:
-                    next_active.append(ch)
-                else:
-                    settled.append(ch)
-            else:
-                settled.append(ps)  # no improving child — chain done
-        active = next_active
-    settled.sort(key=lambda ps: (-ps.coverage, code_key(ps.code)))
-    # no two chains settle on one code: every code of a chain starts with its root's entry
-    return [(ps.code, ps.cover) for ps in settled if len(ps.code) >= e_min][:k]
+            level = driver(codes, want)
+        matched.update((ps.code, ps) for ps in level)
+        # best first, so a chain moves only to its best child, and only if
+        # that child beats the head
+        for ps in sorted(level, key=rank):
+            head = heads.get(ps.code[0])
+            if head is None or ps.coverage > head.coverage:
+                heads[ps.code[0]] = ps
+        return level
+
+    stats = level_loop(
+        level1_codes(db),
+        match,
+        e_max=e_max,
+        extend_filter=lambda ps: heads[ps.code[0]] is ps,
+        deadline=deadline,
+    )
+    top = sorted(heads.values(), key=rank)
+    return [(ps.code, ps.cover) for ps in top if len(ps.code) >= e_min][:k], stats
 
 
 def ted(
@@ -140,7 +131,11 @@ def ted(
 
     ``time_limit_s`` counts from the call's start: the handle's build
     spends it too, IPS starts no depth past it, and the enumeration starts
-    no level past it."""
+    no level past it.
+
+    ``extra["ips"]`` holds IPS's own counters from its :class:`EnumStats`,
+    ``timed_out`` among them; they are all zero for a variant without
+    IPS."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     use_prm = variant in ("prm", "ted")
@@ -153,13 +148,13 @@ def ted(
     maintainer = PatternMaintainer(k=k, alpha=alpha)
     matched: dict[DFSCode, PatternLevelStats] = {}  # IPS's stats, reused by the enumeration
 
+    ips_stats = EnumStats()  # stays empty when the variant runs no IPS
     if use_ips:
-        for code, cover in ips_initial_patterns(
+        initial, ips_stats = ips_initial_patterns(
             spark, db, k=k, e_max=e_max, e_min=e_min, matched=matched, deadline=deadline,
-        ):
+        )
+        for code, cover in initial:
             maintainer.offer(code, cover)
-    # read before the enumeration pops entries, so IPS-only patterns count too
-    ips_truncated = any(ps.truncated for ps in matched.values())
 
     def visitor(ps: PatternLevelStats) -> None:
         if len(ps.code) < e_min:  # below the pattern budget's MinE
@@ -197,7 +192,7 @@ def ted(
         total_edges=sum(edge_counts.values()),
         elapsed_s=elapsed,
         timed_out=enum_stats.timed_out,
-        truncated=ips_truncated or enum_stats.truncated,
+        truncated=ips_stats.truncated or enum_stats.truncated,
         index_time_s=idx.maintenance_time_s,
         index_size_bytes=idx.estimated_size_bytes(),
         n_enumerated=enum_stats.n_visited,
@@ -212,6 +207,14 @@ def ted(
             "n_matched": enum_stats.n_matched,
             "n_children_nonmin": enum_stats.n_children_nonmin,
             "handle_s": db.build_s,
+            "ips": {
+                "levels": ips_stats.levels,
+                "n_matched": ips_stats.n_matched,
+                "n_is_min": ips_stats.n_is_min,
+                "n_children_nonmin": ips_stats.n_children_nonmin,
+                "timed_out": ips_stats.timed_out,
+                "truncated": ips_stats.truncated,
+            },
         },
     )
 

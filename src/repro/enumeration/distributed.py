@@ -92,7 +92,7 @@ from pyspark.sql.types import (
 
 from repro.graphdb.model import Graph, edge_key
 from repro.graphdb.spark_io import GraphDB
-from repro.isomorphism.dfscode import DFSCode, Edge5
+from repro.isomorphism.dfscode import DFSCode, Edge5, encode
 from repro.isomorphism.matcher import Kept, match_frontier
 
 LEVEL_SCHEMA = StructType(
@@ -139,10 +139,6 @@ class PatternLevelStats:
         return len(self.cover)
 
 
-def _encode_ext(e: Edge5) -> str:
-    return f"{e[0]},{e[1]},{e[2]},{e[3]},{e[4]}"
-
-
 def _decode_ext(s: str) -> Edge5:
     i, j, li, el, lj = s.split(",")
     return (int(i), int(j), li, el, lj)
@@ -185,7 +181,10 @@ class ProjectedMatcher:
     and on the driver it matches the frontiers too narrow to pay for a
     level job over a :class:`GraphDB`'s ``driver_graphs``: the roots of
     :func:`repro.enumeration.gspan.enumerate_gspan`, and IPS's roots and
-    its depths after the first (:func:`repro.core.ted.ips_initial_patterns`).
+    its depths after the first: the level matcher of
+    :func:`repro.core.ted.ips_initial_patterns` builds one over the chain
+    heads' support graphs at its first depth past the level job and keeps
+    it to the end of the walk.
 
     A level asked for extensions keeps each pattern's embeddings in every
     graph where it occurs, or None in a graph where they reach the
@@ -246,8 +245,8 @@ def match_level_df(
             yield (
                 pid,
                 g.gid,
-                [edge_key(g.gid, e) for e in sorted(ms.covered_eids)],
-                sorted(_encode_ext(e) for e in ms.extensions),
+                [edge_key(g.gid, e) for e in ms.covered_eids],
+                [encode((e,)) for e in ms.extensions],
                 ms.truncated,
             )
 

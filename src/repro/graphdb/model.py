@@ -9,7 +9,7 @@ Arrow).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 #: Shift for packing (gid, eid) into one int64. Supports up to ~1M edges per

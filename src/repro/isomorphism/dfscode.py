@@ -254,6 +254,8 @@ def is_min(code: DFSCode) -> bool:
 
 
 def encode(code: DFSCode) -> str:
-    """Serialize a code to a compact string (for Arrow columns / broadcast)."""
+    """Serialize a code to a compact string. The benchmark's reference
+    answers and the VQF pattern table use it, and the level job's ``exts``
+    column holds each extension as the string of a one-entry code."""
     return ";".join(f"{i},{j},{li},{el},{lj}" for i, j, li, el, lj in code)
 

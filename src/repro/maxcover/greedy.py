@@ -2,7 +2,7 @@
 lines 4–9), with the classical (1 - 1/e) guarantee."""
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Hashable
 
 
 def greedy_max_cover(

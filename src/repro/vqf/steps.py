@@ -12,7 +12,7 @@ compared pattern set).
 from __future__ import annotations
 
 from repro.graphdb.model import Graph
-from repro.isomorphism.dfscode import DFSCode, code_to_graph
+from repro.isomorphism.dfscode import DFSCode
 from repro.isomorphism.matcher import contains, iter_embeddings
 
 

@@ -52,6 +52,12 @@ def tiny_db(tiny_edges):
 
 
 @pytest.fixture(scope="session")
+def aids_db(aids_edges):
+    """The :class:`GraphDB` handle of ``aids_edges``."""
+    return GraphDB.build(aids_edges)
+
+
+@pytest.fixture(scope="session")
 def clique_db(clique_edges):
     """The :class:`GraphDB` handle of ``clique_edges``."""
     return GraphDB.build(clique_edges)

@@ -19,7 +19,7 @@ class TestEmin:
         assert r.patterns  # no size constraint by default
 
     def test_ips_respects_e_min(self, spark, tiny_db):
-        init = ips_initial_patterns(spark, tiny_db, k=3, e_max=3, e_min=2)
+        init, _ = ips_initial_patterns(spark, tiny_db, k=3, e_max=3, e_min=2)
         assert all(len(c) >= 2 for c, _ in init)
 
     def test_fs_respects_e_min(self, spark, tiny_edges):

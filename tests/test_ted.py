@@ -1,8 +1,9 @@
 """TED framework tests: variant validity, incremental-vs-recomputed
 coverage, the Theorem-4 approximation bound against exact OPT, the
-optimization strategies' behaviour, that the enumeration does not repeat
-IPS's level jobs, that the narrow frontiers matched on the driver equal the
-level jobs', and that embedding-cap truncation is reported."""
+optimization strategies' behaviour, that IPS equals a serial reference
+walk, that the enumeration does not repeat IPS's level jobs, that the
+narrow frontiers matched on the driver equal the level jobs', and that
+embedding-cap truncation is reported."""
 import importlib
 import random
 import time
@@ -11,12 +12,13 @@ import pytest
 
 from repro.core.baselines import all_g, fsg_g, opt_exact
 from repro.core.ted import ips_initial_patterns, match_level, ted
-from repro.enumeration.distributed import ProjectedMatcher
+from repro.enumeration.distributed import PatternLevelStats, ProjectedMatcher
 from repro.enumeration.gspan import enumerate_gspan, level1_codes
 from repro.graphdb.generator import molecule_db
-from repro.graphdb.model import make_graph
+from repro.graphdb.model import edge_key, make_graph
 from repro.graphdb.spark_io import GraphDB, to_edges_df
 from repro.isomorphism.dfscode import code_key, code_to_graph, is_min
+from repro.isomorphism.matcher import match_stats
 from tests.helpers import tiny_db
 
 K, E_MAX = 3, 3
@@ -114,19 +116,75 @@ class TestOptimizations:
         assert full.coverage >= 0.95 * base.coverage
 
     def test_ips_produces_k_disjoint_initial_patterns(self, spark, tiny_db):
-        init = ips_initial_patterns(spark, tiny_db, k=K, e_max=E_MAX)
+        init, _ = ips_initial_patterns(spark, tiny_db, k=K, e_max=E_MAX)
         codes = [c for c, _ in init]
         assert 1 <= len(codes) <= K and len(set(codes)) == len(codes)
         assert all(is_min(c) and len(c) <= E_MAX for c in codes)
 
     def test_ips_initial_patterns_sorted_by_coverage(self, spark, tiny_db):
-        init = ips_initial_patterns(spark, tiny_db, k=K, e_max=E_MAX)
+        init, _ = ips_initial_patterns(spark, tiny_db, k=K, e_max=E_MAX)
         sizes = [len(cov) for _, cov in init]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_invalid_variant_raises(self, spark, tiny_edges):
         with pytest.raises(ValueError):
             ted(spark, tiny_edges, k=K, e_max=E_MAX, variant="bogus")
+
+
+def _reference_ips(db, *, k, e_max, e_min=1):
+    """Serial IPS: one chain per root, each step taken to the child of most
+    coverage (least ``code_key`` on a tie) while coverage strictly improves
+    and the head has fewer than ``e_max`` edges, every pattern matched with
+    ``match_stats`` over ``db.driver_graphs``. Returns the initial patterns
+    and the stats of every pattern matched, by code."""
+
+    def stats(code):
+        want = len(code) < e_max
+        per_graph = [(g.gid, match_stats(code, g, want_extensions=want))
+                     for g in db.driver_graphs]
+        per_graph = [(gid, ms) for gid, ms in per_graph if ms.n_embeddings]
+        return PatternLevelStats(
+            code=code,
+            support_gids=frozenset(gid for gid, _ in per_graph),
+            cover=frozenset(edge_key(gid, e) for gid, ms in per_graph for e in ms.covered_eids),
+            extensions=frozenset(e for _, ms in per_graph for e in ms.extensions),
+            truncated=any(ms.truncated for _, ms in per_graph),
+        )
+
+    matched, heads = {}, []
+    for root in level1_codes(db):
+        head = matched[root] = stats(root)
+        while len(head.code) < e_max:
+            children = [head.code + (e,) for e in head.extensions if is_min(head.code + (e,))]
+            for child in children:
+                matched[child] = stats(child)
+            best = min(children, key=lambda c: (-matched[c].coverage, code_key(c)), default=None)
+            if best is None or matched[best].coverage <= head.coverage:
+                break
+            head = matched[best]
+        heads.append(head)
+    heads.sort(key=lambda ps: (-ps.coverage, code_key(ps.code)))
+    return [(ps.code, ps.cover) for ps in heads if len(ps.code) >= e_min][:k], matched
+
+
+class TestIpsReference:
+    """IPS equals the serial reference walk: the same initial patterns, and
+    the same support, cover and ``truncated`` for every pattern matched."""
+
+    @pytest.mark.parametrize("db_name", ["tiny_db", "aids_db", "clique_db"])
+    @pytest.mark.parametrize("e_max, e_min", [(1, 1), (2, 1), (3, 1), (4, 1), (4, 3)])
+    def test_ips_equals_the_serial_walk(self, spark, request, db_name, e_max, e_min):
+        db = request.getfixturevalue(db_name)
+        matched = {}
+        initial, _ = ips_initial_patterns(
+            spark, db, k=5, e_max=e_max, e_min=e_min, matched=matched)
+        want_initial, want = _reference_ips(db, k=5, e_max=e_max, e_min=e_min)
+        assert initial == want_initial
+        assert matched.keys() == want.keys()
+        for code, ps in matched.items():
+            ref = want[code]
+            assert (ps.support_gids, ps.cover, ps.truncated) == (
+                ref.support_gids, ref.cover, ref.truncated), code
 
 
 class TestMatchOnce:
@@ -338,4 +396,5 @@ class TestNarrowFrontiersOnDriver:
         _spy_match_level(monkeypatch, sent)
         r = ted(spark, tiny_edges, k=K, e_max=E_MAX, variant=variant, time_limit_s=0.4)
         assert not sent and r.timed_out
+        assert r.extra["ips"]["timed_out"] and r.extra["ips"]["levels"] == 1
         assert len(r.patterns) == K and all(len(code) == 1 for code in r.patterns)
