@@ -16,7 +16,9 @@ threshold needs database-wide support between levels, so FSG keeps the
 driver loop (:func:`repro.enumeration.gspan.enumerate_gspan`), one job per
 level over the call's :class:`repro.graphdb.spark_io.GraphDB`. The tracer
 sees no level job of the tree job, so ALL_g, ALL_t and OPT report its
-phases and per-task counters in ``AlgoResult.extra``.
+phases and per-task stats in ``AlgoResult.extra``. Every method reports its
+enumeration's :class:`repro.enumeration.gspan.EnumStats` as
+``extra["enum"]``.
 
 Every method builds the call's handle first and runs its enumeration on
 it, so each reports the handle's build time (``extra["handle_s"]``) and
@@ -27,6 +29,7 @@ counts from the call's start, the handle's build included.
 from __future__ import annotations
 
 import time
+from dataclasses import asdict
 
 from pyspark.sql import DataFrame, SparkSession
 
@@ -41,38 +44,30 @@ from repro.maxcover.greedy import greedy_max_cover
 
 
 def _mine_tree(
-    db: GraphDB, *, e_max: int, time_limit_s: float | None
+    db: GraphDB, *, e_max: int, deadline: float | None
 ) -> tuple[dict[DFSCode, frozenset[int]], EnumStats, dict]:
     """S from the tree job: each pattern's cover merged over the tasks, in
     stream order ``(len(code), code_key(code))``. A cover one task holds is
     kept as that task's frozenset; only the covers of codes several tasks
-    hold are united. The counters are summed over tasks (``levels`` and
-    ``peak_frontier`` are maxima); ``n_matched`` counts (pattern, task)
+    hold are united. The stats are the tasks' :meth:`EnumStats.total`, with
+    ``n_visited`` set to ``|S|``: ``n_matched`` counts (pattern, task)
     pairs and ``n_children_nonmin`` repeats a rejection in every task whose
-    graphs hold the parent. The report holds the job and merge times and
-    one counter dict per non-empty task."""
+    graphs hold the parent. The report holds the job and merge times and,
+    per non-empty task, its stats' fields and its graph count, pair count
+    and wall time."""
     t0 = time.perf_counter()
-    results = mine_tree(db, e_max=e_max, time_limit_s=time_limit_s)
+    results = mine_tree(db, e_max=e_max, deadline=deadline)
     t1 = time.perf_counter()
     held: dict[DFSCode, list[frozenset[int]]] = {}
-    for found, _ in results:
+    for found, _, _ in results:
         for code, cover in found:
             held.setdefault(code, []).append(cover)
     sets = {code: covers[0] if len(covers) == 1 else frozenset().union(*covers)
             for code, covers in sorted(held.items(), key=lambda kv: (len(kv[0]), code_key(kv[0])))}
-    tasks = [counters for _, counters in results]
-    stats = EnumStats(
-        n_matched=sum(t["patterns"] for t in tasks),
-        n_visited=len(sets),
-        n_children_nonmin=sum(t["n_children_nonmin"] for t in tasks),
-        n_is_min=sum(t["is_min_calls"] for t in tasks),
-        levels=max((t["levels"] for t in tasks), default=0),
-        timed_out=any(t["timed_out"] for t in tasks),
-        truncated=any(t["truncated"] for t in tasks),
-        peak_frontier=max((t["peak_frontier"] for t in tasks), default=0),
-    )
+    stats = EnumStats.total(st for _, st, _ in results)
+    stats.n_visited = len(sets)
     report = {"phases": {"mining_s": t1 - t0, "merge_s": time.perf_counter() - t1},
-              "partitions": tasks}
+              "partitions": [{**asdict(st), **task} for _, st, task in results]}
     return sets, stats, report
 
 
@@ -82,7 +77,7 @@ def enumerate_cover_sets(
     *,
     e_max: int,
     min_support_frac: float = 0.0,
-    time_limit_s: float | None = None,
+    deadline: float | None = None,
 ) -> tuple[dict[DFSCode, frozenset[int]], EnumStats, dict]:
     """Materialize S (Algorithm 1 line 1 / Algorithm 2 line 1): every
     enumerated pattern's cover set in the database ``db``, in DFS-code
@@ -91,9 +86,10 @@ def enumerate_cover_sets(
     what the run reports in ``AlgoResult.extra``. With
     ``min_support_frac == 0`` S is mined by the tree job (see
     :func:`_mine_tree`), else by the driver loop, whose level jobs the
-    tracer sees, and the report is empty."""
+    tracer sees, and the report is empty. Mining stops at ``deadline``, a
+    ``time.perf_counter()`` value."""
     if min_support_frac == 0:
-        return _mine_tree(db, e_max=e_max, time_limit_s=time_limit_s)
+        return _mine_tree(db, e_max=e_max, deadline=deadline)
     sets: dict[DFSCode, frozenset[int]] = {}
     stats = enumerate_gspan(
         spark,
@@ -101,7 +97,7 @@ def enumerate_cover_sets(
         e_max=e_max,
         min_support_frac=min_support_frac,
         visitor=lambda ps: sets.__setitem__(ps.code, ps.cover),
-        time_limit_s=time_limit_s,
+        deadline=deadline,
     )
     return sets, stats, {}
 
@@ -132,7 +128,7 @@ def _run_materialized(
         db,
         e_max=e_max,
         min_support_frac=min_support_frac,
-        time_limit_s=None if time_limit_s is None else time_limit_s - (time.perf_counter() - t0),
+        deadline=None if time_limit_s is None else t0 + time_limit_s,
     )
     t_select = time.perf_counter()
     index_time = 0.0
@@ -160,10 +156,7 @@ def _run_materialized(
         "k": k,
         "e_max": e_max,
         "sup_min": min_support_frac,
-        # From the tree job both sum over tasks (see _mine_tree): patterns
-        # matched per task, and non-minimal children rejected per task.
-        "n_matched": enum_stats.n_matched,
-        "n_children_nonmin": enum_stats.n_children_nonmin,
+        "enum": asdict(enum_stats),  # the tree job's are summed over its tasks (see _mine_tree)
         "handle_s": db.build_s,
         **report,
     }

@@ -19,6 +19,7 @@ guarantee is independent of stream order, so the level-synchronous stream
 from __future__ import annotations
 
 import time
+from dataclasses import asdict
 
 from pyspark.sql import DataFrame, SparkSession
 
@@ -130,12 +131,12 @@ def ted(
     possibly its extensions) may be incomplete.
 
     ``time_limit_s`` counts from the call's start: the handle's build
-    spends it too, IPS starts no depth past it, and the enumeration starts
-    no level past it.
+    spends it too, and IPS and the enumeration get the same deadline, so
+    neither starts a depth or level past it.
 
-    ``extra["ips"]`` holds IPS's own counters from its :class:`EnumStats`,
-    ``timed_out`` among them; they are all zero for a variant without
-    IPS."""
+    ``extra["enum"]`` and ``extra["ips"]`` hold the enumeration's and IPS's
+    :class:`EnumStats` as dicts, ``timed_out`` among their fields; IPS's
+    are all zero for a variant without IPS."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     use_prm = variant in ("prm", "ted")
@@ -180,7 +181,7 @@ def ted(
         min_support_frac=0.0,
         visitor=visitor,
         extend_filter=prm_filter if use_prm else None,
-        time_limit_s=None if deadline is None else deadline - time.perf_counter(),
+        deadline=deadline,
         matched=matched,
     )
     elapsed = time.perf_counter() - t0
@@ -202,19 +203,9 @@ def ted(
             "alpha": alpha,
             "k": k,
             "e_max": e_max,
-            "levels": enum_stats.levels,
-            "peak_frontier": enum_stats.peak_frontier,
-            "n_matched": enum_stats.n_matched,
-            "n_children_nonmin": enum_stats.n_children_nonmin,
             "handle_s": db.build_s,
-            "ips": {
-                "levels": ips_stats.levels,
-                "n_matched": ips_stats.n_matched,
-                "n_is_min": ips_stats.n_is_min,
-                "n_children_nonmin": ips_stats.n_children_nonmin,
-                "timed_out": ips_stats.timed_out,
-                "truncated": ips_stats.truncated,
-            },
+            "enum": asdict(enum_stats),
+            "ips": asdict(ips_stats),
         },
     )
 

@@ -54,8 +54,9 @@ embeddings; no parent is re-enumerated. Nothing crosses between tasks or
 reaches the driver until the loop is done, so it serves the enumerations
 that keep every pattern with support >= 1: ALL_g, ALL_t and OPT. Each task
 returns the ``(code, cover)`` of every pattern that occurs in its graphs,
-the cover as global edge keys over those graphs, and its counters (see
-:data:`TASK_COUNTERS`). Covers are disjoint across partitions, so the
+the cover as global edge keys over those graphs, the loop's
+:class:`repro.enumeration.gspan.EnumStats`, and its own graph count, pair
+count and wall time. Covers are disjoint across partitions, so the
 driver merges them by union. The partitions are balanced by edge count,
 not by matching work, so task times still differ.
 
@@ -78,7 +79,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import (
@@ -95,6 +96,9 @@ from repro.graphdb.spark_io import GraphDB
 from repro.isomorphism.dfscode import DFSCode, Edge5, encode
 from repro.isomorphism.matcher import Kept, match_frontier
 
+if TYPE_CHECKING:
+    from repro.enumeration.gspan import EnumStats
+
 LEVEL_SCHEMA = StructType(
     [
         StructField("pattern_id", LongType(), False),
@@ -104,21 +108,6 @@ LEVEL_SCHEMA = StructType(
         StructField("truncated", BooleanType(), False),
     ]
 )
-
-#: Keys of a tree-job task's counters, in report order.
-TASK_COUNTERS = (
-    "graphs",              # graphs in the partition
-    "patterns",            # patterns returned
-    "pairs",               # (pattern, graph) pairs the loop routed (ProjectedMatcher.pairs)
-    "levels",              # levels the loop ran
-    "is_min_calls",        # extensions checked by ``is_min``
-    "n_children_nonmin",   # of which rejected as non-minimal
-    "peak_frontier",
-    "truncated",           # 1 if a (pattern, graph) hit the embedding cap
-    "timed_out",           # 1 if the loop stopped at the time limit
-    "task_s",              # the loop's wall time in the task
-)
-
 
 @dataclass
 class PatternLevelStats:
@@ -291,13 +280,19 @@ def mine_tree(
     db: GraphDB,
     *,
     e_max: int,
-    time_limit_s: float | None = None,
-) -> list[tuple[list[tuple[DFSCode, frozenset[int]]], dict]]:
+    deadline: float | None = None,
+) -> list[tuple[list[tuple[DFSCode, frozenset[int]]], EnumStats, dict]]:
     """Run the tree job over the database ``db``: each task runs
     :func:`repro.enumeration.gspan.mine_graphs` over its graphs and returns
-    ``(code, cover)`` per pattern found and its :data:`TASK_COUNTERS`.
-    Returns one such pair per non-empty task. Each task stops between its
-    own levels once ``time_limit_s`` has passed since the task started."""
+    ``(found, stats, task)``: ``(code, cover)`` per pattern found, the
+    loop's :class:`repro.enumeration.gspan.EnumStats`, and
+    ``{"graphs", "pairs", "task_s"}`` (its graph count, the pairs its
+    :class:`ProjectedMatcher` routed, and the loop's wall time). Returns one
+    such triple per non-empty task. A ``perf_counter`` value means nothing
+    in another process, so the time left before ``deadline`` is read once,
+    when the job is submitted, and each task stops between its own levels
+    once that much time has passed since it started."""
+    budget = None if deadline is None else deadline - time.perf_counter()
 
     def run_partition(graphs_in: Iterator[Graph]) -> Iterator[tuple]:
         from repro.enumeration.gspan import mine_graphs  # gspan imports this module
@@ -307,10 +302,10 @@ def mine_tree(
             return
         t0 = time.perf_counter()
         match = ProjectedMatcher(graphs)
-        found, st = mine_graphs(graphs, e_max=e_max, time_limit_s=time_limit_s, matcher=match)
-        counters = (len(graphs), len(found), match.pairs, st.levels, st.n_is_min,
-                    st.n_children_nonmin, st.peak_frontier, int(st.truncated),
-                    int(st.timed_out), round(time.perf_counter() - t0, 4))
-        yield [(ps.code, ps.cover) for ps in found], dict(zip(TASK_COUNTERS, counters))
+        found, stats = mine_graphs(graphs, e_max=e_max, matcher=match,
+                                   deadline=None if budget is None else t0 + budget)
+        task = {"graphs": len(graphs), "pairs": match.pairs,
+                "task_s": round(time.perf_counter() - t0, 4)}
+        yield [(ps.code, ps.cover) for ps in found], stats, task
 
     return db.graphs.mapPartitions(run_partition).collect()

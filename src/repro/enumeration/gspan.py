@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable
 
 from pyspark.sql import SparkSession
@@ -42,15 +42,18 @@ from repro.isomorphism.dfscode import DFSCode, code_key, is_min
 LevelMatcher = Callable[[list[DFSCode], bool], list[PatternLevelStats]]
 
 
-def _roots(triples: Iterable[tuple[str, str, str]]) -> list[DFSCode]:
-    """The 1-edge codes of normalized ``(li, el, lj)`` edge-label triples
-    (``li <= lj``, the minimal orientation), in canonical order."""
+def _roots(graphs: Iterable[Graph]) -> list[DFSCode]:
+    """The distinct 1-edge codes of ``graphs``, one per normalized
+    ``(li, el, lj)`` edge-label triple (``li <= lj``, the minimal
+    orientation), in canonical order."""
+    triples = frozenset().union(*(g.edge_triple_set for g in graphs))
     return sorted((((0, 1, a, el, b),) for a, el, b in triples), key=code_key)
 
 
 def level1_codes(db: GraphDB) -> list[DFSCode]:
-    """All distinct 1-edge patterns of the database, read from its handle."""
-    return _roots(db.triples)
+    """All distinct 1-edge patterns of the database, read from the graphs
+    its handle keeps on the driver."""
+    return _roots(db.driver_graphs)
 
 
 @dataclass
@@ -67,6 +70,21 @@ class EnumStats:
     timed_out: bool = False
     truncated: bool = False     # any (pattern, graph) hit the embedding cap
     peak_frontier: int = 0
+
+    @classmethod
+    def total(cls, parts: Iterable[EnumStats]) -> EnumStats:
+        """The stats of one run split into ``parts``: counts add up,
+        ``levels`` and ``peak_frontier`` take the maximum, and a flag is set
+        if any part set it."""
+        parts = list(parts)
+
+        def combine(name: str, default: object) -> object:
+            values = [getattr(p, name) for p in parts]
+            if isinstance(default, bool):
+                return any(values)
+            return max(values, default=0) if name in ("levels", "peak_frontier") else sum(values)
+
+        return cls(**{f.name: combine(f.name, f.default) for f in fields(cls)})
 
 
 def level_loop(
@@ -93,8 +111,9 @@ def level_loop(
     ``visitor`` sees each surviving pattern exactly once, in canonical
     DFS-code order within each level. ``extend_filter`` decides whether a
     surviving pattern's subtree is explored (TED's PRM hook). Once
-    ``time.perf_counter()`` passes ``deadline`` the loop stops before the
-    next level, with ``timed_out`` set; a run with no next level is
+    ``time.perf_counter()`` passes ``deadline`` the loop stops before it
+    grows the next level, with ``timed_out`` set, and checks no extension
+    with ``is_min``; a run whose last level has no extensions to grow is
     complete, not timed out.
 
     ``matched`` maps DFS codes to stats computed earlier over the same
@@ -118,7 +137,7 @@ def level_loop(
         if stats.levels == 1 and min_support_frac > 0:
             n_graphs = len(frozenset().union(*(ps.support_gids for ps in level)))
             threshold = max(1, math.ceil(min_support_frac * n_graphs))
-        children: list[DFSCode] = []
+        parents: list[PatternLevelStats] = []  # the patterns to extend
         for ps in sorted(level, key=lambda s: code_key(s.code)):
             if ps.truncated:
                 stats.truncated = True
@@ -133,6 +152,13 @@ def level_loop(
             if extend_filter is not None and not extend_filter(ps):
                 stats.n_pruned_filter += 1
                 continue
+            parents.append(ps)
+        if (deadline is not None and any(ps.extensions for ps in parents)
+                and time.perf_counter() > deadline):
+            stats.timed_out = True
+            break
+        children: list[DFSCode] = []
+        for ps in parents:
             stats.n_is_min += len(ps.extensions)
             for ext in ps.extensions:
                 child = ps.code + (ext,)
@@ -141,9 +167,6 @@ def level_loop(
                 else:
                     stats.n_children_nonmin += 1
         frontier = sorted(children, key=code_key)
-        if frontier and deadline is not None and time.perf_counter() > deadline:
-            stats.timed_out = True
-            break
     return stats
 
 
@@ -155,7 +178,7 @@ def enumerate_gspan(
     min_support_frac: float = 0.0,
     visitor: Callable[[PatternLevelStats], None] | None = None,
     extend_filter: Callable[[PatternLevelStats], bool] | None = None,
-    time_limit_s: float | None = None,
+    deadline: float | None = None,
     matched: dict[DFSCode, PatternLevelStats] | None = None,
 ) -> EnumStats:
     """Enumerate all (or all frequent) patterns with ``|E| <= e_max`` in the
@@ -166,11 +189,10 @@ def enumerate_gspan(
     only in the graphs holding its edge-label triple, which costs less than
     a job's fixed overhead.
 
-    ``time_limit_s`` is counted from this call and checked between levels.
-    ``matched`` (see :func:`level_loop`) holds stats computed earlier over
-    the same database.
+    ``deadline`` (a ``time.perf_counter()`` value) and ``matched`` are
+    :func:`level_loop`'s: ``matched`` holds stats computed earlier over the
+    same database.
     """
-    deadline = None if time_limit_s is None else time.perf_counter() + time_limit_s
 
     def match(codes: list[DFSCode], want: bool) -> list[PatternLevelStats]:
         if len(codes[0]) == 1:
@@ -193,7 +215,7 @@ def mine_graphs(
     graphs: list[Graph],
     *,
     e_max: int,
-    time_limit_s: float | None = None,
+    deadline: float | None = None,
     matcher: ProjectedMatcher | None = None,
 ) -> tuple[list[PatternLevelStats], EnumStats]:
     """Every pattern with ``|E| <= e_max`` and an embedding in ``graphs``,
@@ -210,13 +232,14 @@ def mine_graphs(
     the patterns found, with their covers and supports united over the
     parts, are exactly what :func:`enumerate_gspan` streams with
     ``min_support_frac=0``. A capped prefix may hide extensions, and
-    ``truncated`` then says so.
-    ``time_limit_s`` is counted from this call and checked between levels.
+    ``truncated`` then says so. The loop stops at ``deadline`` (see
+    :func:`level_loop`). Split this way, the parts' stats add up with
+    :meth:`EnumStats.total`, except that ``n_visited`` counts a pattern once
+    per part that holds it.
     """
-    deadline = None if time_limit_s is None else time.perf_counter() + time_limit_s
     found: list[PatternLevelStats] = []
     stats = level_loop(
-        _roots(frozenset().union(*(g.edge_triple_set for g in graphs))),
+        _roots(graphs),
         ProjectedMatcher(graphs) if matcher is None else matcher,
         e_max=e_max,
         visitor=found.append,

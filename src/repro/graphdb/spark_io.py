@@ -14,10 +14,11 @@ than another. The RDD ships the graphs from the driver, so a job over it
 runs no shuffle and no Python build stage, and there is nothing to cache.
 The handle also keeps the driver-side graphs themselves, in graph-id order,
 so a frontier too narrow to pay for a job is matched on the driver over
-them, and holds the per-graph edge counts and edge-label triples read from
-them. Every job of the call only reads the handle. :func:`db_stats` stays
-a DataFrame aggregation; it, the handle's counts and its triples are
-oracle-checked against DuckDB in the tests.
+them, and holds the per-graph edge counts read from them. Every job of the
+call only reads the handle. :func:`db_stats` stays a DataFrame
+aggregation; it, the handle's counts and the database's edge-label triples
+(:func:`repro.enumeration.gspan.level1_codes`) are oracle-checked against
+DuckDB in the tests.
 """
 from __future__ import annotations
 
@@ -110,7 +111,6 @@ class GraphDB:
     graphs: RDD                                 # Graphs, see build()
     driver_graphs: list[Graph]                  # the same graphs, in graph-id order
     edge_counts: dict[int, int]                 # {graph_id: |E(G)|}
-    triples: frozenset[tuple[str, str, str]]    # (min label, edge label, max label)
     build_s: float                              # wall time of build()
 
     @classmethod
@@ -119,7 +119,7 @@ class GraphDB:
         one collect, as an RDD of ``defaultParallelism`` partitions (one task
         per core) dealt by :func:`balanced_bins`, each graph whole in one
         partition, plus the graphs themselves as a list and their edge
-        counts and triples. Each partition's graphs travel pickled in its
+        counts. Each partition's graphs travel pickled in its
         tasks, so a job over the RDD reads no table and runs no shuffle."""
         t0 = time.perf_counter()
         graphs = graphs_from_rows(edges.toPandas().itertuples(index=False))
@@ -129,7 +129,6 @@ class GraphDB:
             graphs=sc.parallelize(balanced_bins(graphs, n), n).flatMap(lambda b: b),
             driver_graphs=graphs,
             edge_counts={g.gid: g.n_edges for g in graphs},
-            triples=frozenset().union(*(g.edge_triple_set for g in graphs)),
             build_s=time.perf_counter() - t0,
         )
 

@@ -1,4 +1,5 @@
 """Baseline (ALL_g / ALL_t / FSG_g / FSG_t / OPT) behaviour tests."""
+import dataclasses
 import functools
 import time
 
@@ -14,7 +15,7 @@ from repro.core.baselines import (
 )
 from repro.core.maintain import PatternMaintainer
 from repro.core.ted import ted
-from repro.enumeration.gspan import enumerate_gspan
+from repro.enumeration.gspan import EnumStats, enumerate_gspan
 from repro.graphdb.model import edge_key
 from repro.graphdb.spark_io import GraphDB
 from repro.isomorphism.bruteforce import distinct_patterns_bruteforce
@@ -99,9 +100,10 @@ class TestAlgorithms:
         stats = enumerate_gspan(spark, tiny_db, e_max=E_MAX)
         parts = r.extra["partitions"]
         assert stats.n_visited == r.n_enumerated
-        assert r.extra["n_matched"] == sum(p["patterns"] for p in parts) >= r.n_enumerated
-        assert r.extra["n_children_nonmin"] == sum(p["n_children_nonmin"] for p in parts)
-        assert r.extra["n_children_nonmin"] >= stats.n_children_nonmin > 0
+        enum = r.extra["enum"]
+        assert enum["n_matched"] == sum(p["n_visited"] for p in parts) >= r.n_enumerated
+        assert enum["n_children_nonmin"] == sum(p["n_children_nonmin"] for p in parts)
+        assert enum["n_children_nonmin"] >= stats.n_children_nonmin > 0
 
     def test_result_row_shape(self, spark, tiny_edges):
         row = all_g(spark, tiny_edges, k=K, e_max=2).row()
@@ -150,6 +152,7 @@ METHODS = {
     "base": functools.partial(ted, variant="base"),
     "ted": functools.partial(ted, variant="ted"),
     "fsg_g": functools.partial(fsg_g, sup_min=0.3),
+    "fsg_t": functools.partial(fsg_t, sup_min=0.3),
     "all_g": all_g,
     "all_t": all_t,
     "opt_exact": opt_exact,
@@ -183,3 +186,21 @@ class TestOneHandlePerCall:
 
         monkeypatch.setattr(GraphDB, "build", slow_build)
         assert METHODS[method](spark, tiny_edges, k=K, e_max=3, time_limit_s=0.4).timed_out
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_record_holds_every_enum_stats_field(spark, tiny_edges, method):
+    """Each method reports its enumeration's :class:`EnumStats` whole in
+    ``extra["enum"]``; TED also IPS's in ``extra["ips"]``, and the tree job
+    each task's in its ``extra["partitions"]`` entry."""
+    fields = {f.name for f in dataclasses.fields(EnumStats)}
+    r = METHODS[method](spark, tiny_edges, k=K, e_max=2)
+    assert set(r.extra["enum"]) == fields
+    assert r.extra["enum"]["n_visited"] == r.n_enumerated > 0
+    if method in ("base", "ted"):
+        assert set(r.extra["ips"]) == fields
+        assert (r.extra["ips"]["levels"] > 0) is (method == "ted")
+    if method in ("all_g", "all_t", "opt_exact"):
+        assert r.extra["partitions"]
+        for p in r.extra["partitions"]:
+            assert set(p) == fields | {"graphs", "pairs", "task_s"}

@@ -14,12 +14,7 @@ from pyspark.sql import functions as F
 from repro.core.baselines import all_g, all_t, enumerate_cover_sets, fsg_g, opt_exact
 from repro.core.ted import ted
 from repro.enumeration import gspan
-from repro.enumeration.distributed import (
-    TASK_COUNTERS,
-    ProjectedMatcher,
-    match_level,
-    match_level_df,
-)
+from repro.enumeration.distributed import ProjectedMatcher, match_level, match_level_df
 from repro.enumeration.gspan import EnumStats, enumerate_gspan, level1_codes, mine_graphs
 from repro.graphdb.generator import molecule_db
 from repro.graphdb.model import edge_key, make_graph
@@ -50,7 +45,8 @@ class TestLevel1Codes:
         assert codes == sorted(codes, key=code_key)
 
     def test_triples_against_oracle(self, spark, tiny_mol_db, tiny_db):
-        triples = pd.DataFrame(sorted(tiny_db.triples), columns=["a", "el", "b"])
+        triples = pd.DataFrame(sorted(code[0][2:] for code in level1_codes(tiny_db)),
+                               columns=["a", "el", "b"])
         assert_equivalent(
             spark.createDataFrame(triples),
             "SELECT DISTINCT least(ul, vl) AS a, el, greatest(ul, vl) AS b FROM edges",
@@ -240,12 +236,35 @@ class TestTreeJob:
         phases = r.extra["phases"]
         assert list(phases) == ["mining_s", "merge_s", "selection_s"]
         assert all(t >= 0 for t in phases.values()) and sum(phases.values()) <= r.elapsed_s
+        fields = [f.name for f in dataclasses.fields(EnumStats)]
         for p in r.extra["partitions"]:
-            assert list(p) == list(TASK_COUNTERS)
-            assert p["levels"] == 3 and p["patterns"] > 0 and p["task_s"] > 0
-            assert p["graphs"] > 0 and p["pairs"] >= p["patterns"]
-            assert p["is_min_calls"] >= p["n_children_nonmin"] > 0
+            assert list(p) == [*fields, "graphs", "pairs", "task_s"]
+            assert p["levels"] == 3 and p["n_visited"] > 0 and p["task_s"] > 0
+            assert p["graphs"] > 0 and p["pairs"] >= p["n_visited"]
+            assert p["n_is_min"] >= p["n_children_nonmin"] > 0
             assert not p["timed_out"] and not p["truncated"]
+
+    def test_total_of_the_parts(self, aids_db):
+        """The stats of a database split into the four ``gid % 4`` parts
+        add up by :meth:`EnumStats.total` as written out by hand; the last
+        part gets a spent deadline, so only it sets ``timed_out``."""
+        parts = [mine_graphs([g for g in aids_db.driver_graphs if g.gid % 4 == i], e_max=4,
+                             deadline=0.0 if i == 3 else None)[1] for i in range(4)]
+        assert [p.timed_out for p in parts] == [False, False, False, True]
+        assert EnumStats.total(parts) == EnumStats(
+            n_matched=sum(p.n_matched for p in parts),
+            n_visited=sum(p.n_visited for p in parts),
+            n_pruned_support=sum(p.n_pruned_support for p in parts),
+            n_pruned_filter=sum(p.n_pruned_filter for p in parts),
+            n_children_nonmin=sum(p.n_children_nonmin for p in parts),
+            n_is_min=sum(p.n_is_min for p in parts),
+            levels=max(p.levels for p in parts),
+            timed_out=any(p.timed_out for p in parts),
+            truncated=any(p.truncated for p in parts),
+            peak_frontier=max(p.peak_frontier for p in parts),
+        )
+        assert EnumStats.total(parts[:1]) == parts[0]
+        assert EnumStats.total([]) == EnumStats()
 
     def test_time_limit_stops_every_task(self, spark, tiny_edges):
         r = all_g(spark, tiny_edges, k=3, e_max=4, time_limit_s=0.0)
@@ -404,19 +423,37 @@ class TestControls:
         assert max(sizes) == 2
 
     def test_time_limit_flags(self, spark, tiny_db):
-        stats = enumerate_gspan(spark, tiny_db, e_max=4, time_limit_s=0.0)
+        stats = enumerate_gspan(spark, tiny_db, e_max=4, deadline=0.0)
         assert stats.timed_out
 
     def test_run_with_no_next_level_is_complete(self, spark, tiny_db):
         """At ``e_max = 1`` the loop ends after level 1, so a spent time
         limit cuts nothing: both loops stream every root, not timed out."""
         graphs = molecule_db("aids_lite", 10, seed=0)
-        found, stats = mine_graphs(graphs, e_max=1, time_limit_s=0.0)
+        found, stats = mine_graphs(graphs, e_max=1, deadline=0.0)
         ref, ref_stats = mine_graphs(graphs, e_max=1)
         assert [ps.code for ps in found] == [ps.code for ps in ref]
         assert stats == ref_stats and not stats.timed_out
-        stats = enumerate_gspan(spark, tiny_db, e_max=1, time_limit_s=0.0)
+        stats = enumerate_gspan(spark, tiny_db, e_max=1, deadline=0.0)
         assert stats.n_visited == len(level1_codes(tiny_db)) and not stats.timed_out
+
+    def test_no_is_min_past_the_deadline(self, spark, aids_edges, monkeypatch):
+        """A spent deadline stops every loop before it checks an extension:
+        IPS's and TED's enumeration on the driver, and every task of
+        ALL_g's tree job."""
+        calls = []
+
+        def counted(code, _real=gspan.is_min):
+            calls.append(code)
+            return _real(code)
+
+        monkeypatch.setattr(gspan, "is_min", counted)
+        r = ted(spark, aids_edges, k=5, e_max=4, variant="ted", time_limit_s=0.0)
+        assert r.timed_out and r.extra["ips"]["timed_out"] and r.extra["enum"]["timed_out"]
+        assert r.extra["ips"]["n_is_min"] == r.extra["enum"]["n_is_min"] == len(calls) == 0
+        r = all_g(spark, aids_edges, k=5, e_max=4, time_limit_s=0.0)
+        assert r.timed_out and r.extra["partitions"]
+        assert all(p["timed_out"] and p["n_is_min"] == 0 for p in r.extra["partitions"])
 
     def test_extend_filter_prunes(self, spark, tiny_db):
         unpruned = EnumStats()

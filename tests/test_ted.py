@@ -71,8 +71,8 @@ class TestVariantValidity:
 
     def test_enumeration_counters_reported(self, variant_result):
         """With no support threshold every matched pattern is visited."""
-        assert variant_result.extra["n_matched"] == variant_result.n_enumerated
-        assert variant_result.extra["n_children_nonmin"] > 0
+        assert variant_result.extra["enum"]["n_matched"] == variant_result.n_enumerated
+        assert variant_result.extra["enum"]["n_children_nonmin"] > 0
 
 
 class TestApproximationBound:
@@ -290,7 +290,7 @@ class TestTruncation:
         ted_module = importlib.import_module("repro.core.ted")
 
         def level1_only(*args, _real=ted_module.enumerate_gspan, **kw):
-            return _real(*args, **{**kw, "time_limit_s": 0.0})
+            return _real(*args, **{**kw, "deadline": 0.0})
 
         monkeypatch.setattr(ted_module, "enumerate_gspan", level1_only)
         star = make_graph(0, ["C"] + ["N"] * 46, [(0, v) for v in range(1, 47)])
