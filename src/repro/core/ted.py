@@ -6,7 +6,12 @@ Variants (paper Section 7 naming):
   swap-based PatternMaintain; only k patterns (plus one frontier) in memory.
 - ``prm``:  BASE + Promising Right-Most Extension (Definition 7) — subtrees
   whose best-possible descendant benefit cannot beat the swap threshold are
-  never extended.
+  never extended. Definition 7's bound (the uncovered edges of every graph
+  holding the pattern) is the cheap first test; a subtree it keeps is cut
+  if the tighter :func:`reach_bound` (the uncovered edges a descendant
+  within E_max can reach from the pattern's embeddings) cannot beat the
+  threshold either. Both bound the same ``Score_B``, so Theorem 3 holds
+  for either (DESIGN.md §3 item 3).
 - ``ips``:  BASE + Initial Pattern Selection — initial P comes from a
   BFS-style greedy walk over the level-1 roots instead of the first k
   enumerated subgraphs.
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict
+from typing import Container, Iterable, Mapping
 
 from pyspark.sql import DataFrame, SparkSession
 
@@ -27,11 +33,42 @@ from repro.core.maintain import PatternMaintainer
 from repro.core.result import AlgoResult
 from repro.enumeration.distributed import PatternLevelStats, ProjectedMatcher, match_level
 from repro.enumeration.gspan import EnumStats, enumerate_gspan, level1_codes, level_loop
+from repro.graphdb.model import Graph, edge_key, split_edge_key
 from repro.graphdb.spark_io import GraphDB, per_graph_edge_counts
 from repro.isomorphism.dfscode import DFSCode, Edge5, code_key
 from repro.isomorphism.dfscode import is_min  # noqa: F401  (the benchmark's tracer wraps it here)
 
 VARIANTS = ("base", "prm", "ips", "ted")
+
+
+def reach_bound(
+    cover: Iterable[int], r: int, graphs: Mapping[int, Graph], covered: Container[int]
+) -> int:
+    """PRM's reach bound: the edges that a descendant adding at most ``r``
+    edges to a pattern with cover ``cover`` can cover and ``covered`` does
+    not hold.
+
+    A descendant's code extends the pattern's, so each of its embeddings
+    contains one of the pattern's, and its at most ``r`` new edges hang
+    connected off that embedding's vertices. So every edge it covers has an
+    endpoint at most ``r - 1`` hops from a vertex of ``cover``, in the same
+    graph. ``graphs`` maps graph ids to the graphs ``cover``'s edge keys
+    point into."""
+    eids_by_graph: dict[int, list[int]] = {}
+    for key in cover:
+        gid, eid = split_edge_key(key)
+        eids_by_graph.setdefault(gid, []).append(eid)
+    bound = 0
+    for gid, eids in eids_by_graph.items():
+        g = graphs[gid]
+        seen = {x for eid in eids for x in g.edges[eid][:2]}
+        ring = seen
+        for _ in range(r - 1):
+            ring = {v for u in ring for v, _, _ in g.adj[u]} - seen
+            seen |= ring
+        reach = {eid for u in seen for _, _, eid in g.adj[u]}
+        bound += sum(1 for eid in reach if edge_key(gid, eid) not in covered)
+    return bound
 
 
 def ips_initial_patterns(
@@ -136,7 +173,11 @@ def ted(
 
     ``extra["enum"]`` and ``extra["ips"]`` hold the enumeration's and IPS's
     :class:`EnumStats` as dicts, ``timed_out`` among their fields; IPS's
-    are all zero for a variant without IPS."""
+    are all zero for a variant without IPS. ``extra["prm"]`` counts the
+    subtrees cut by Definition 7's bound (``def7_pruned``) and by
+    :func:`reach_bound` (``reach_pruned``), which add up to ``n_pruned``,
+    and the time spent in :func:`reach_bound` (``reach_s``); all zero for
+    a variant without PRM."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     use_prm = variant in ("prm", "ted")
@@ -164,15 +205,30 @@ def ted(
             return
         maintainer.offer(ps.code, ps.cover)
 
+    prm = {"def7_pruned": 0, "reach_pruned": 0, "reach_s": 0.0}
+    graphs = {g.gid: g for g in db.driver_graphs}
+
     def prm_filter(ps: PatternLevelStats) -> bool:
-        # Definition 7: extend only if even covering every currently
-        # uncovered edge of the graphs containing g could beat the swap
-        # threshold. Before P is full there is no threshold — always extend.
+        # Extend only if even covering every uncovered edge a descendant
+        # could reach might beat the swap threshold. Before P is full there
+        # is no threshold — always extend.
         if len(maintainer) < k:
             return True
+        threshold = maintainer.swap_threshold()
+        # Definition 7: the uncovered edges of the graphs containing ps
         covered = maintainer.index.covered_per_graph
-        bound = sum(edge_counts[g] - covered.get(g, 0) for g in ps.support_gids)
-        return bound >= maintainer.swap_threshold()
+        if sum(edge_counts[g] - covered.get(g, 0) for g in ps.support_gids) < threshold:
+            prm["def7_pruned"] += 1
+            return False
+        if ps.truncated:  # a capped cover may miss embeddings a descendant extends
+            return True
+        t = time.perf_counter()
+        bound = reach_bound(ps.cover, e_max - len(ps.code), graphs, maintainer.index.rcov)
+        prm["reach_s"] += time.perf_counter() - t
+        if bound < threshold:
+            prm["reach_pruned"] += 1
+            return False
+        return True
 
     enum_stats = enumerate_gspan(
         spark,
@@ -206,6 +262,7 @@ def ted(
             "handle_s": db.build_s,
             "enum": asdict(enum_stats),
             "ips": asdict(ips_stats),
+            "prm": prm,
         },
     )
 

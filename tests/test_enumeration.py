@@ -512,8 +512,10 @@ def test_no_extensions_at_e_max_changes_nothing(
         ref = run(spark, tiny_edges, k=3, e_max=e_max)
 
         def untimed(res):
-            return dataclasses.replace(res, elapsed_s=0.0, index_time_s=0.0,
-                                       extra={**res.extra, "handle_s": 0.0})
+            extra = {**res.extra, "handle_s": 0.0}
+            if "prm" in extra:
+                extra["prm"] = {**extra["prm"], "reach_s": 0.0}
+            return dataclasses.replace(res, elapsed_s=0.0, index_time_s=0.0, extra=extra)
 
         assert untimed(r) == untimed(ref)
     assert {want for n, want in on_driver if n == 1} == {e_max > 1}

@@ -6,7 +6,6 @@ import pandas as pd
 import pytest
 
 from repro.core import all_g, fsg_g, ted
-from repro.enumeration import distributed
 from repro.graphdb.spark_io import (
     DB_STATS_SQL,
     EDGE_SCHEMA,
@@ -125,22 +124,17 @@ class TestHandleLifetime:
     def test_no_cached_rdd_outlives_a_call_that_raises(
         self, spark, tiny_edges, monkeypatch, call
     ):
-        """``match_level`` raises on the call's second level job (ALL_g
-        runs none)."""
+        """``match_level`` raises on the call's first level job (ALL_g
+        runs none), after the handle is built."""
 
         class Stop(Exception):
             pass
 
-        levels = []
-
-        def after_first_level(*args, **kwargs):
-            levels.append(args[2])
-            if len(levels) > 1:
-                raise Stop
-            return distributed.match_level(*args, **kwargs)
+        def stop(*args, **kwargs):
+            raise Stop
 
         for name in ("repro.core.ted", "repro.enumeration.gspan"):
-            monkeypatch.setattr(importlib.import_module(name), "match_level", after_first_level)
+            monkeypatch.setattr(importlib.import_module(name), "match_level", stop)
         before = _persisted(spark)
         with pytest.raises(Stop):
             CALLS[call](spark, tiny_edges)

@@ -1,6 +1,7 @@
 """TED framework tests: variant validity, incremental-vs-recomputed
 coverage, the Theorem-4 approximation bound against exact OPT, the
-optimization strategies' behaviour, that IPS equals a serial reference
+optimization strategies' behaviour, that PRM's reach bound is sound
+against every brute-force descendant, that IPS equals a serial reference
 walk, that the enumeration does not repeat IPS's level jobs, that the
 narrow frontiers matched on the driver equal the level jobs', and that
 embedding-cap truncation is reported."""
@@ -11,14 +12,17 @@ import time
 import pytest
 
 from repro.core.baselines import all_g, fsg_g, opt_exact
-from repro.core.ted import ips_initial_patterns, match_level, ted
+from repro.core.maintain import PatternMaintainer
+from repro.core.pes_index import PESIndex
+from repro.core.ted import ips_initial_patterns, match_level, reach_bound, ted
 from repro.enumeration.distributed import PatternLevelStats, ProjectedMatcher
 from repro.enumeration.gspan import enumerate_gspan, level1_codes
 from repro.graphdb.generator import molecule_db
-from repro.graphdb.model import edge_key, make_graph
+from repro.graphdb.model import edge_key, induced_subgraph, make_graph, split_edge_key
 from repro.graphdb.spark_io import GraphDB, to_edges_df
-from repro.isomorphism.dfscode import code_key, code_to_graph, is_min
-from repro.isomorphism.matcher import match_stats
+from repro.isomorphism.bruteforce import distinct_patterns_bruteforce
+from repro.isomorphism.dfscode import code_key, code_to_graph, encode, is_min, min_code_of_graph
+from repro.isomorphism.matcher import cover_set, match_stats
 from tests.helpers import tiny_db
 
 K, E_MAX = 3, 3
@@ -32,6 +36,17 @@ PRM_GRID = [
     for k, alpha in ((3, 1.0), (5, 0.5), (4, 0.0))
 ]
 PRM_CASES = random.Random(0).sample(PRM_GRID, 6)
+
+# Answers-unchanged matrix: (profile, graphs, seed, e_max, alphas), k = 5.
+ANSWER_MATRIX = [
+    *(("aids_lite", 100, seed, 4, (0.0, 0.5, 1.0)) for seed in range(3)),
+    *(("emol_lite", 30, 0, e_max, (1.0,)) for e_max in (3, 4, 5)),
+]
+
+
+def _answer(r):
+    """What a discovery call answers: its pattern set, coverage and flag."""
+    return {encode(c) for c in r.patterns}, r.coverage, r.truncated
 
 
 @pytest.fixture(scope="module", params=["base", "prm", "ips", "ted"])
@@ -74,6 +89,14 @@ class TestVariantValidity:
         assert variant_result.extra["enum"]["n_matched"] == variant_result.n_enumerated
         assert variant_result.extra["enum"]["n_children_nonmin"] > 0
 
+    def test_prm_counters_reported(self, variant_result):
+        """The subtrees cut by each of PRM's two tests add up to
+        ``n_pruned``; a variant without PRM cuts none and spends no time."""
+        prm = variant_result.extra["prm"]
+        assert prm["def7_pruned"] + prm["reach_pruned"] == variant_result.n_pruned
+        if variant_result.name in ("BASE", "IPS"):
+            assert prm == {"def7_pruned": 0, "reach_pruned": 0, "reach_s": 0.0}
+
 
 class TestApproximationBound:
     @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -99,7 +122,8 @@ class TestApproximationBound:
 class TestOptimizations:
     def test_prm_prunes_without_losing_coverage(self, spark, tiny_edges):
         """Theorem 3: PRM never prunes a subtree that would change the
-        answer, so its coverage equals BASE's exactly (DESIGN.md §3.3)."""
+        answer, so its patterns and coverage equal BASE's exactly
+        (DESIGN.md §3.3)."""
         cases = [("tiny_edges", tiny_edges, K, 1.0)]
         for db, seed, k, alpha in PRM_CASES:
             graphs = tiny_db(seed) if db == "tiny" else molecule_db("emol_lite", 30, seed=seed)
@@ -107,8 +131,39 @@ class TestOptimizations:
         for name, edges, k, alpha in cases:
             base = ted(spark, edges, k=k, e_max=E_MAX, alpha=alpha, variant="base")
             prm = ted(spark, edges, k=k, e_max=E_MAX, alpha=alpha, variant="prm")
-            assert prm.coverage == base.coverage, f"{name} k={k} alpha={alpha}"
+            assert _answer(prm) == _answer(base), f"{name} k={k} alpha={alpha}"
             assert prm.n_enumerated <= base.n_enumerated, f"{name} k={k} alpha={alpha}"
+
+    @pytest.mark.parametrize("profile, n, seed, e_max, alphas", ANSWER_MATRIX, ids=[
+        f"{profile}-{n}-seed{seed}-emax{e_max}" for profile, n, seed, e_max, _ in ANSWER_MATRIX])
+    def test_answers_unchanged_by_prm(self, spark, profile, n, seed, e_max, alphas):
+        """PRM equals BASE, and TED equals IPS: patterns, coverage and
+        ``truncated``."""
+        edges = to_edges_df(spark, molecule_db(profile, n, seed=seed)).cache()
+        try:
+            for alpha in alphas:
+                run = {v: _answer(ted(spark, edges, k=5, e_max=e_max, alpha=alpha, variant=v))
+                       for v in ("base", "prm", "ips", "ted")}
+                assert run["prm"] == run["base"], f"alpha={alpha}"
+                assert run["ted"] == run["ips"], f"alpha={alpha}"
+        finally:
+            edges.unpersist()
+
+    @pytest.mark.parametrize("variant", ["prm", "ted"])
+    def test_reach_bound_cuts_more_than_definition_7(
+        self, spark, aids_edges, monkeypatch, variant
+    ):
+        """aids_lite-100, k=5, E_max=4: with the reach bound a call visits
+        fewer patterns than with Definition 7's bound alone (the reach
+        bound made to never cut), and answers the same."""
+        ted_module = importlib.import_module("repro.core.ted")
+        reach = ted(spark, aids_edges, k=5, e_max=4, variant=variant)
+        monkeypatch.setattr(ted_module, "reach_bound", lambda *a: float("inf"))
+        def7 = ted(spark, aids_edges, k=5, e_max=4, variant=variant)
+        assert _answer(reach) == _answer(def7)
+        assert reach.n_enumerated < def7.n_enumerated
+        assert reach.extra["prm"]["reach_pruned"] > 0
+        assert def7.extra["prm"]["reach_pruned"] == 0
 
     def test_full_ted_coverage_at_least_base_minus_slack(self, spark, tiny_edges):
         base = ted(spark, tiny_edges, k=K, e_max=E_MAX, variant="base")
@@ -129,6 +184,44 @@ class TestOptimizations:
     def test_invalid_variant_raises(self, spark, tiny_edges):
         with pytest.raises(ValueError):
             ted(spark, tiny_edges, k=K, e_max=E_MAX, variant="bogus")
+
+
+class TestReachBound:
+    """PRM's reach bound is sound: no descendant within E_max of a pattern
+    covers more edges outside P than the pattern's :func:`reach_bound`.
+    Checked against every brute-force pattern, with P empty and with P
+    built by the maintainer from the whole level-ordered stream."""
+
+    @pytest.mark.parametrize("e_max", [3, 4])
+    @pytest.mark.parametrize("db_name, seed", [("tiny", 1), ("tiny", 2), ("emol_lite-12", 42)])
+    def test_no_descendant_beats_the_bound(self, db_name, seed, e_max):
+        db = tiny_db(seed) if db_name == "tiny" else molecule_db("emol_lite", 12, seed=seed)
+        graphs = {g.gid: g for g in db}
+
+        def min_code(per_graph):  # of a pattern's first brute-force occurrence
+            gid, occurrences = next(iter(per_graph.items()))
+            return min_code_of_graph(induced_subgraph(graphs[gid], next(iter(occurrences))))
+
+        codes = sorted(map(min_code, distinct_patterns_bruteforce(db, e_max).values()),
+                       key=code_key)
+        covers = {c: frozenset(edge_key(g.gid, e) for g in db for e in cover_set(c, g))
+                  for c in codes}
+        maintainer = PatternMaintainer(k=3)
+        for c in codes:
+            maintainer.offer(c, covers[c])
+        pairs = 0
+        for index in (PESIndex(), maintainer.index):
+            for p in (c for c in codes if len(c) < e_max):
+                bound = reach_bound(covers[p], e_max - len(p), graphs, index.rcov)
+                def7 = sum(1 for gid in {split_edge_key(e)[0] for e in covers[p]}
+                           for eid in range(graphs[gid].n_edges)
+                           if edge_key(gid, eid) not in index.rcov)
+                assert bound <= def7
+                for q in codes:
+                    if len(q) > len(p) and q[: len(p)] == p:
+                        pairs += 1
+                        assert index.benefit(covers[q]) <= bound, (p, q)
+        assert pairs > 0
 
 
 def _reference_ips(db, *, k, e_max, e_min=1):
@@ -353,22 +446,26 @@ class TestNarrowFrontiersOnDriver:
         assert ted(spark, clique_edges, k=K, e_max=4, variant="ips").truncated
 
     def test_ted_runs_the_handle_and_three_level_jobs(self, spark, aids_edges, monkeypatch):
-        """aids_lite-100, k=5, E_max=4: the handle's collect, IPS's depth 1
-        (which is also the enumeration's level 2), and levels 3 and 4."""
+        """aids_lite-100, k=5, E_max=4. IPS runs the handle's collect, its
+        depth 1 (which is also the enumeration's level 2), and levels 3
+        and 4. TED's PRM cuts every level-3 pattern's subtree, so it runs
+        no level-4 job."""
         sc = spark.sparkContext
         keys = ("spark.jobGroup.id", "spark.job.description", "spark.job.interruptOnCancel")
         caller = {k: sc.getLocalProperty(k) for k in keys}
-        group = "test-ted-level-jobs"
         sent = []
         _spy_match_level(monkeypatch, sent)
-        sc.setJobGroup(group, group)
-        try:
-            ted(spark, aids_edges, k=5, e_max=4)
-        finally:
-            for k, v in caller.items():
-                sc.setLocalProperty(k, v)
-        assert len(sc.statusTracker().getJobIdsForGroup(group)) == 4
-        assert sorted(len(codes[0]) for codes in sent) == [2, 3, 4]
+        for variant, n_jobs, sizes in (("ips", 4, [2, 3, 4]), ("ted", 3, [2, 3])):
+            group = f"test-{variant}-level-jobs"
+            sent.clear()
+            sc.setJobGroup(group, group)
+            try:
+                ted(spark, aids_edges, k=5, e_max=4, variant=variant)
+            finally:
+                for k, v in caller.items():
+                    sc.setLocalProperty(k, v)
+            assert len(sc.statusTracker().getJobIdsForGroup(group)) == n_jobs, variant
+            assert sorted(len(codes[0]) for codes in sent) == sizes, variant
 
     @pytest.mark.parametrize("method", ["base", "prm", "ips", "ted", "fsg_g"])
     def test_no_level_job_matches_a_root(self, spark, tiny_edges, monkeypatch, method):
